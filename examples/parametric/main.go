@@ -127,7 +127,7 @@ func startServer(dir string) (base string, stop func()) {
 		log.Fatal(err)
 	}
 	srv := serve.New(serve.Config{Store: st})
-	if _, err := srv.PreloadStore(); err != nil {
+	if _, err := srv.Repo().Preload(); err != nil {
 		log.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

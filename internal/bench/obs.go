@@ -200,18 +200,18 @@ func Obs(cfg Config) (*ObsResult, error) {
 	model := &serve.Model{
 		ID: "obsbench", Nodes: nodes, Ports: m, Outputs: p,
 		Order: order, Blocks: len(rom.Blocks), ModalBlocks: modalBlocks,
-		ROM: rom, Modal: ms,
+		ROM: rom, Modal: ms, Packed: ms.Pack(),
 	}
 	entries := []serve.Entry{{Row: 0, Col: 0}}
 	ctx := context.Background()
 
 	engBase := serve.NewEngine(cfg.Workers)
 	defer engBase.Close()
-	evBase := serve.NewEvaluator(engBase, serve.NewFactorCache(0), true)
+	evBase := serve.NewEvaluator(engBase)
 	engInstr := serve.NewEngine(cfg.Workers)
 	defer engInstr.Close()
 	engInstr.Instrument(waitHist, runHist)
-	evInstr := serve.NewEvaluator(engInstr, serve.NewFactorCache(0), true)
+	evInstr := serve.NewEvaluator(engInstr)
 	out.Pairs = append(out.Pairs, obsPair("sweep_serving",
 		func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -67,8 +67,8 @@ func (bd *BlockDiagSystem) Validate() error {
 // part of an evaluation; with the factors in hand each extra Eval or
 // EvalColumn at the same s costs only O(l²) triangular solves per block.
 // A BlockDiagFactors is immutable after construction and safe for
-// concurrent use — the property the serving layer's factorization cache
-// relies on.
+// concurrent use. It is the LU reference that modal evaluation is checked
+// against, and the baseline of the evaluation benchmarks.
 type BlockDiagFactors struct {
 	// S is the complex frequency the pencils were factored at.
 	S complex128
@@ -282,19 +282,6 @@ func (f *BlockDiagFactors) EvalColumnInto(dst, scratch []complex128, j int) erro
 		ctrFactoredEvals.Add(evaluated)
 	}
 	return nil
-}
-
-// MemBytes estimates the memory retained by the factors — the quantity the
-// serving layer's LRU cache budgets against.
-func (f *BlockDiagFactors) MemBytes() int64 {
-	var n int64
-	for i := range f.blocks {
-		bf := &f.blocks[i]
-		l := int64(len(bf.b))
-		// packed LU (l×l complex) + pivots + B + L, 16 bytes per complex128.
-		n += 16*(l*l+l) + 8*l + 16*int64(bf.l.Rows)*int64(bf.l.Cols)
-	}
-	return n
 }
 
 // Eval computes Hr(s) block by block via a one-shot factorization context.

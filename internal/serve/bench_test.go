@@ -5,11 +5,20 @@ import (
 	"testing"
 )
 
+func testModel(t testing.TB, scale float64) *Model {
+	t.Helper()
+	m, _, err := NewRepository(0).Get(ModelKey{Benchmark: "ckt1", Scale: scale})
+	if err != nil {
+		t.Fatalf("building test model: %v", err)
+	}
+	return m
+}
+
 // The cold/cached/modal triple documents the evaluation-path economics: cold
 // pays the per-block O(l³) complex LU factorization on every evaluation,
 // cached pays it once and then O(l²) triangular solves per evaluation, and
 // modal pays a one-time diagonalization at build and then O(q) per
-// evaluation — no factorization, no solves, no cache.
+// evaluation — no factorization, no solves.
 
 func BenchmarkEvalColdFactorization(b *testing.B) {
 	m := testModel(b, 0.25)
@@ -25,18 +34,13 @@ func BenchmarkEvalColdFactorization(b *testing.B) {
 
 func BenchmarkEvalCachedFactorization(b *testing.B) {
 	m := testModel(b, 0.25)
-	cache := NewFactorCache(0)
-	s := complex(0, 1e9)
-	if _, _, err := cache.GetOrFactor(m.ID, m.ROM, s); err != nil {
+	f, err := m.ROM.Factorize(complex(0, 1e9))
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, _, err := cache.GetOrFactor(m.ID, m.ROM, s)
-		if err != nil {
-			b.Fatal(err)
-		}
 		if _, err := f.Eval(); err != nil {
 			b.Fatal(err)
 		}
@@ -44,11 +48,10 @@ func BenchmarkEvalCachedFactorization(b *testing.B) {
 }
 
 // BenchmarkEvalModal is the BenchmarkEvalCachedFactorization-equivalent on
-// the modal fast path: same ROM, same full-matrix evaluation, no cache and
-// no factors.
+// the modal form: same ROM, same full-matrix evaluation, no factors.
 func BenchmarkEvalModal(b *testing.B) {
 	m := testModel(b, 0.25)
-	if m.Modal == nil || m.ModalBlocks != m.Blocks {
+	if m.ModalBlocks != m.Blocks {
 		b.Fatalf("test model not fully modal (%d/%d blocks)", m.ModalBlocks, m.Blocks)
 	}
 	s := complex(0, 1e9)
@@ -67,9 +70,7 @@ func BenchmarkEvalModal(b *testing.B) {
 
 func BenchmarkEvalColumnCached(b *testing.B) {
 	m := testModel(b, 0.25)
-	cache := NewFactorCache(0)
-	s := complex(0, 1e9)
-	f, _, err := cache.GetOrFactorColumn(m.ID, m.ROM, s, 0)
+	f, err := m.ROM.FactorizeColumn(complex(0, 1e9), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,10 +79,6 @@ func BenchmarkEvalColumnCached(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, _, err := cache.GetOrFactorColumn(m.ID, m.ROM, s, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
 		if err := f.EvalColumnInto(dst, scratch, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -90,9 +87,6 @@ func BenchmarkEvalColumnCached(b *testing.B) {
 
 func BenchmarkEvalColumnModal(b *testing.B) {
 	m := testModel(b, 0.25)
-	if m.Modal == nil {
-		b.Fatal("test model has no modal form")
-	}
 	s := complex(0, 1e9)
 	dst := make([]complex128, m.Outputs)
 	b.ReportAllocs()
@@ -104,43 +98,32 @@ func BenchmarkEvalColumnModal(b *testing.B) {
 	}
 }
 
-// The sweep pair measures a full served sweep re-run at an identical grid —
-// the serving layer's steady state. The factored variant hits the cache at
-// every point; the modal variant is a single vectorized residue pass.
-
-func BenchmarkSweepRepeatedFactored(b *testing.B) {
-	m := testModel(b, 0.25)
+// benchmarkSweep times a served single-entry sweep of H[0][0] over the
+// standard frequency range, re-run at an identical grid — the serving
+// steady state.
+func benchmarkSweep(b *testing.B, m *Model, points int) {
 	eng := NewEngine(0)
 	defer eng.Close()
-	ev := NewEvaluator(eng, NewFactorCache(0), false)
-	if _, err := ev.Sweep(context.Background(), m, 0, 0, 1e5, 1e15, 200); err != nil {
-		b.Fatal(err)
-	}
+	ev := NewEvaluator(eng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.Sweep(context.Background(), m, 0, 0, 1e5, 1e15, 200); err != nil {
+		if _, err := ev.Sweep(context.Background(), m, 0, 0, DefaultWMin, DefaultWMax, points); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkSweepRepeatedModal sweeps a fully modal model: one vectorized
+// residue pass.
 func BenchmarkSweepRepeatedModal(b *testing.B) {
-	m := testModel(b, 0.25)
-	eng := NewEngine(0)
-	defer eng.Close()
-	ev := NewEvaluator(eng, NewFactorCache(0), true)
-	if ev.modalFor(m) == nil {
-		b.Fatal("test model not served modally")
-	}
-	if _, err := ev.Sweep(context.Background(), m, 0, 0, 1e5, 1e15, 200); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.Sweep(context.Background(), m, 0, 0, 1e5, 1e15, 200); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkSweep(b, testModel(b, 0.25), 200)
+}
+
+// BenchmarkSweepPartiallyModal sweeps the same model over the 60-point
+// default grid with the block driven by input 0 forced onto the LU
+// fallback: every point of the swept column pays a one-shot pencil
+// factorization.
+func BenchmarkSweepPartiallyModal(b *testing.B) {
+	benchmarkSweep(b, partiallyModal(b, testModel(b, 0.25), 0), DefaultSweepPoints)
 }

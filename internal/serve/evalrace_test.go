@@ -7,14 +7,14 @@ import (
 )
 
 // TestEvaluatorConcurrentSweepStress hammers one model from many goroutines
-// through every evaluation entry point, on both the modal and the factored
-// path, with overlapping entry sets. Its job is to let -race catch any
-// unsound sharing of the pooled evalScratch buffers or modal read paths;
+// through every evaluation entry point, with overlapping entry sets, once
+// fully modal and once with an LU-fallback block. Its job is to let -race
+// catch any unsound sharing of the modal read paths or the fallback LU;
 // results are also cross-checked against a serial baseline so a data race
 // that corrupts output without tripping the detector still fails the test.
 func TestEvaluatorConcurrentSweepStress(t *testing.T) {
 	key := ModelKey{Benchmark: "ckt1", Scale: 0.1}
-	m, err := buildModel(key, false, false, nil)
+	full, err := buildModel(key, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,9 +22,9 @@ func TestEvaluatorConcurrentSweepStress(t *testing.T) {
 	const points = 20
 	omegas := []float64{1e6, 1e9, 3e11, 1e13}
 
-	for _, useModal := range []bool{true, false} {
+	for _, m := range []*Model{full, partiallyModal(t, full, 0)} {
 		eng := NewEngine(4)
-		ev := NewEvaluator(eng, NewFactorCache(0), useModal)
+		ev := NewEvaluator(eng)
 
 		// Serial baselines computed before the stampede.
 		wantSweep, err := ev.SweepEntries(context.Background(), m, entries, DefaultWMin, DefaultWMax, points)
@@ -81,7 +81,7 @@ func TestEvaluatorConcurrentSweepStress(t *testing.T) {
 		wg.Wait()
 		close(errc)
 		for err := range errc {
-			t.Fatalf("useModal=%v: %v", useModal, err)
+			t.Fatalf("%d/%d modal blocks: %v", m.ModalBlocks, m.Blocks, err)
 		}
 		eng.Close()
 	}

@@ -182,9 +182,6 @@ func (r *Repository) GetInterpolated(key ModelKey, tol float64) (*Model, Outcome
 	}
 
 	// Interpolate between stored anchors; any failure reduces for real.
-	if r.noModal {
-		return r.interpFallback(key) // modal forms are disabled process-wide
-	}
 	scales := r.ScalePoints(key)
 	lo, hi, ok := bracket(scales, key.Scale)
 	if !ok {
@@ -351,7 +348,7 @@ func (r *Repository) anchor(key ModelKey, scale float64) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.Modal == nil || m.ModalBlocks != m.Blocks {
+	if m.ModalBlocks != m.Blocks {
 		return nil, errors.New("serve: anchor lacks full modal coverage")
 	}
 	return m, nil

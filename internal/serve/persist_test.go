@@ -242,9 +242,9 @@ func TestServerWarmRestart(t *testing.T) {
 		ts2.Close()
 		srv2.Close()
 	})
-	n, err := srv2.PreloadStore()
+	n, err := srv2.Repo().Preload()
 	if err != nil || n != 1 {
-		t.Fatalf("PreloadStore = %d, %v; want 1, nil", n, err)
+		t.Fatalf("Preload = %d, %v; want 1, nil", n, err)
 	}
 	if st := srv2.Repo().Stats(); st.Builds != 0 {
 		t.Fatalf("preload performed %d builds, want 0", st.Builds)
@@ -274,65 +274,17 @@ func TestServerWarmRestart(t *testing.T) {
 	}
 
 	// Merged cache stats expose the disk traffic and which path served the
-	// sweep: the preloaded model is fully modal, so the sweep rode the
-	// factorization-free path and the factor cache stayed empty.
+	// sweep: the preloaded model is fully modal, so no evaluation paid an
+	// LU fallback.
 	cs := srv2.CacheStats()
-	if cs.BudgetBytes <= 0 {
-		t.Fatalf("cache stats missing byte budget: %+v", cs)
-	}
 	if cs.DiskHits < 1 {
 		t.Fatalf("cache stats missing disk hits: %+v", cs)
 	}
 	if cs.ModalEvals < 10 {
 		t.Fatalf("preloaded model did not serve modally: %+v", cs)
 	}
-	if cs.FactoredEvals != 0 || cs.Misses != 0 {
-		t.Fatalf("modal-covered model touched the factored path: %+v", cs)
-	}
-}
-
-// TestSweepWarmedByReduce is the cache-admission acceptance test for the
-// factored path (modal disabled — a modal-covered model never factors, so
-// there would be nothing to warm): /reduce pre-factors the standard LogGrid
-// frequencies, so the first default-grid /sweep afterward performs zero
-// factorizations — every point is a hit.
-func TestSweepWarmedByReduce(t *testing.T) {
-	srv := New(Config{Workers: 4, DisableModal: true})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
-	info := reduceTestModel(t, ts) // warms the standard grid on return
-
-	before := srv.CacheStats()
-	if before.Misses == 0 {
-		t.Fatal("warming performed no factorizations")
-	}
-
-	// Default grid: wmin/wmax/points omitted.
-	resp := postJSON(t, ts.URL+"/sweep", sweepRequest{Model: info.ID, Row: 0, Col: 0})
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("/sweep status = %d", resp.StatusCode)
-	}
-	var out struct {
-		Points []SweepPoint `json:"points"`
-	}
-	out = decode[struct {
-		Points []SweepPoint `json:"points"`
-	}](t, resp)
-	if len(out.Points) != DefaultSweepPoints {
-		t.Fatalf("default sweep returned %d points, want %d", len(out.Points), DefaultSweepPoints)
-	}
-
-	after := srv.CacheStats()
-	if after.Misses != before.Misses {
-		t.Fatalf("first default sweep factored %d points that warming should have covered",
-			after.Misses-before.Misses)
-	}
-	if after.Hits-before.Hits < int64(DefaultSweepPoints) {
-		t.Fatalf("sweep produced %d cache hits, want ≥ %d", after.Hits-before.Hits, DefaultSweepPoints)
+	if cs.FactoredEvals != 0 {
+		t.Fatalf("fully modal model counted LU-fallback evaluations: %+v", cs)
 	}
 }
 

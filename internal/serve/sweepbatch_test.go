@@ -12,19 +12,23 @@ import (
 )
 
 // TestSweepEntriesMatchesSingle pins the batched multi-entry sweep against
-// per-entry single sweeps, on both evaluation paths.
+// per-entry single sweeps, on a fully modal model and on one with an
+// LU-fallback block.
 func TestSweepEntriesMatchesSingle(t *testing.T) {
-	for _, disableModal := range []bool{false, true} {
+	for _, partial := range []bool{false, true} {
 		name := "modal"
-		if disableModal {
-			name = "factored"
+		if partial {
+			name = "partial"
 		}
 		t.Run(name, func(t *testing.T) {
-			srv := New(Config{Workers: 4, DisableModal: disableModal})
+			srv := New(Config{Workers: 4})
 			defer srv.Close()
 			m, _, err := srv.Repo().Get(ModelKey{Benchmark: "ckt1", Scale: 0.1})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if partial {
+				m = partiallyModal(t, m, 0)
 			}
 			entries := []Entry{{0, 0}, {1, 0}, {0, 2}, {2, 2}, {1, 1}}
 			sweeps, err := srv.ev.SweepEntries(context.Background(), m, entries, 1e6, 1e12, 25)
@@ -54,8 +58,8 @@ func TestSweepEntriesMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestSweepEntriesAgreeAcrossPaths: the two evaluation paths must produce
-// the same numbers for the same batched request.
+// TestSweepEntriesAgreeAcrossPaths: the batched modal sweep must produce
+// the same numbers as the LU oracle for the same request.
 func TestSweepEntriesAgreeAcrossPaths(t *testing.T) {
 	srv := New(Config{Workers: 2})
 	defer srv.Close()
@@ -64,20 +68,20 @@ func TestSweepEntriesAgreeAcrossPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	entries := []Entry{{0, 0}, {1, 1}, {0, 1}}
-	modal, err := NewEvaluator(srv.eng, srv.cache, true).SweepEntries(context.Background(), m, entries, 1e5, 1e15, 40)
+	modal, err := srv.ev.SweepEntries(context.Background(), m, entries, 1e5, 1e15, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factored, err := NewEvaluator(srv.eng, NewFactorCache(0), false).SweepEntries(context.Background(), m, entries, 1e5, 1e15, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range entries {
-		for k := range modal[i].Points {
+	for k, p := range modal[0].Points {
+		h, err := m.ROM.Eval(complex(0, p.Omega))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range entries {
 			a := complex(modal[i].Points[k].Re, modal[i].Points[k].Im)
-			b := complex(factored[i].Points[k].Re, factored[i].Points[k].Im)
+			b := h.At(e.Row, e.Col)
 			if d := cmplx.Abs(a - b); d > 1e-9*(1+cmplx.Abs(b)) {
-				t.Fatalf("entry %d point %d: modal %v vs factored %v", i, k, a, b)
+				t.Fatalf("entry %d point %d: modal %v vs LU oracle %v", i, k, a, b)
 			}
 		}
 	}
@@ -176,7 +180,7 @@ func TestModalServeStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.ev.modalFor(m) == nil {
+	if m.ModalBlocks != m.Blocks {
 		t.Fatal("test model not modal-covered")
 	}
 	const goroutines = 8
@@ -216,8 +220,5 @@ func TestModalServeStress(t *testing.T) {
 	modalN, factoredN := srv.ev.PathStats()
 	if modalN == 0 || factoredN != 0 {
 		t.Fatalf("PathStats = (%d modal, %d factored), want all modal", modalN, factoredN)
-	}
-	if st := srv.cache.Stats(); st.Misses != 0 {
-		t.Fatalf("modal stress touched the factor cache: %+v", st)
 	}
 }

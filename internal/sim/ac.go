@@ -19,7 +19,7 @@ type ACPoint struct {
 // given number of points — the sampling shared by every AC sweep in the
 // library. Exposing the grid lets batched evaluators (the serving layer)
 // align sweeps from independent requests on identical frequency points, so
-// cached pencil factorizations are reused across requests.
+// they can share one kernel pass.
 // Degenerate inputs have defined behavior: a reversed range (wMin > wMax),
 // a non-positive wMin, or points < 1 is a clean error; wMin == wMax is the
 // constant grid (every point wMin); points == 1 is allowed only for that
