@@ -108,3 +108,53 @@ func TestBackendStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestOperatorSolvesShareWorkerPath checks that the Operator's own solves
+// reuse its scratch — no per-call allocation on the direct backends, which
+// the PRIMA, EKS and multipoint baselines drive — and agree bit for bit
+// with a Worker's, since both go through the same dispatch.
+func TestOperatorSolvesShareWorkerPath(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		sys     *lti.SparseSystem
+		backend Backend
+	}{
+		{"cholesky", rcSystem(t), BackendCholesky},
+		{"lu", testSystem(t), BackendLU},
+	} {
+		op, err := NewOperator(tc.sys, 1e9, OperatorOptions{Backend: tc.backend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := op.N()
+		rng := rand.New(rand.NewSource(5))
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		x := make([]float64, n)
+		if allocs := testing.AllocsPerRun(20, func() { _ = op.SolvePencil(x, b) }); allocs != 0 {
+			t.Errorf("%s: Operator.SolvePencil allocates %.1f times per call", tc.name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = op.Apply(x, b) }); allocs != 0 {
+			t.Errorf("%s: Operator.Apply allocates %.1f times per call", tc.name, allocs)
+		}
+		before := op.Solves()
+		xo := make([]float64, n)
+		xw := make([]float64, n)
+		if err := op.Apply(xo, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Worker().Apply(xw, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range xo {
+			if math.Float64bits(xo[i]) != math.Float64bits(xw[i]) {
+				t.Fatalf("%s: Operator and Worker Apply differ at %d: %g vs %g", tc.name, i, xo[i], xw[i])
+			}
+		}
+		if got := op.Solves() - before; got != 2 {
+			t.Errorf("%s: two applies counted %d solves", tc.name, got)
+		}
+	}
+}

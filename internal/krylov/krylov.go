@@ -68,16 +68,21 @@ type OperatorOptions struct {
 type Operator struct {
 	sys    *lti.SparseSystem
 	s0     float64
-	solver sparse.Solver[float64]
-	lu     *sparse.LU[float64] // non-nil for the LU backend
-	chol   *sparse.Cholesky    // non-nil for the Cholesky backend
-	buf    []float64
+	direct bufSolver              // the factorization; nil for the iterative backend
+	solver sparse.Solver[float64] // the iterative backend; nil for direct ones
+	buf, w []float64              // Apply's C·x and the direct solve scratch
 	solves atomic.Int64
 	// FactorNNZ is the direct-factor fill (0 for the iterative backend).
 	FactorNNZ int
 	// UsedBackend is the backend actually selected (relevant for
 	// BackendAuto).
 	UsedBackend Backend
+}
+
+// bufSolver is a direct factorization (sparse.Cholesky or sparse.LU) that
+// solves with caller-provided scratch instead of allocating per call.
+type bufSolver interface {
+	SolveBuf(dst, b, w []float64)
 }
 
 // NewOperator builds the expansion-point operator for sys at s0. The pencil
@@ -87,7 +92,7 @@ type Operator struct {
 // repeated. No dense n×n intermediate is formed on any path.
 func NewOperator(sys *lti.SparseSystem, s0 float64, opts OperatorOptions) (*Operator, error) {
 	n, _, _ := sys.Dims()
-	op := &Operator{sys: sys, s0: s0, buf: make([]float64, n), UsedBackend: opts.Backend}
+	op := &Operator{sys: sys, s0: s0, buf: make([]float64, n), w: make([]float64, n), UsedBackend: opts.Backend}
 	pencil := sys.C.Add(s0, sys.G, -1)
 	backend := opts.Backend
 	auto := backend == BackendAuto
@@ -106,8 +111,7 @@ func NewOperator(sys *lti.SparseSystem, s0 float64, opts OperatorOptions) (*Oper
 		ch, err := sparse.FactorCholesky(pencil.ToCSC(), opts.LU)
 		switch {
 		case err == nil:
-			op.solver = ch
-			op.chol = ch
+			op.direct = ch
 			op.FactorNNZ = ch.NNZ()
 			return op, nil
 		case auto && errors.Is(err, sparse.ErrNotSPD):
@@ -123,8 +127,7 @@ func NewOperator(sys *lti.SparseSystem, s0 float64, opts OperatorOptions) (*Oper
 		if err != nil {
 			return nil, fmt.Errorf("krylov: factoring pencil at s0=%g: %w", s0, err)
 		}
-		op.solver = lu
-		op.lu = lu
+		op.direct = lu
 		op.FactorNNZ = lu.NNZ()
 	case BackendIterative:
 		it, err := sparse.NewBiCGStab(pencil, opts.Iter)
@@ -153,15 +156,25 @@ func (op *Operator) Solves() int { return int(op.solves.Load()) }
 
 // SolvePencil computes dst = (s0·C - G)⁻¹ b. dst and b may alias.
 func (op *Operator) SolvePencil(dst, b []float64) error {
-	op.solves.Add(1)
-	return op.solver.Solve(dst, b)
+	return op.solve(dst, b, op.w)
 }
 
 // Apply computes dst = (s0·C - G)⁻¹ C x. dst and x may alias.
 func (op *Operator) Apply(dst, x []float64) error {
 	op.sys.C.MatVec(op.buf, x)
+	return op.solve(dst, op.buf, op.w)
+}
+
+// solve is the one pencil-solve dispatch behind the Operator and every
+// Worker: direct backends solve with the caller's scratch w, the iterative
+// backend with its own. Each call counts one solve.
+func (op *Operator) solve(dst, b, w []float64) error {
 	op.solves.Add(1)
-	return op.solver.Solve(dst, op.buf)
+	if op.direct != nil {
+		op.direct.SolveBuf(dst, b, w)
+		return nil
+	}
+	return op.solver.Solve(dst, b)
 }
 
 // Worker returns a view of the operator that is safe to use concurrently
@@ -181,16 +194,7 @@ type Worker struct {
 
 // SolvePencil computes dst = (s0·C - G)⁻¹ b. dst and b may alias.
 func (wk *Worker) SolvePencil(dst, b []float64) error {
-	wk.op.solves.Add(1)
-	if wk.op.lu != nil {
-		wk.op.lu.SolveBuf(dst, b, wk.w)
-		return nil
-	}
-	if wk.op.chol != nil {
-		wk.op.chol.SolveBuf(dst, b, wk.w)
-		return nil
-	}
-	return wk.op.solver.Solve(dst, b)
+	return wk.op.solve(dst, b, wk.w)
 }
 
 // Apply computes dst = (s0·C - G)⁻¹ C x. dst and x may alias.

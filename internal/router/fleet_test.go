@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,8 +32,9 @@ type fleetReplica struct {
 
 // startFleet boots n replicas over one shared store directory (the fleet's
 // durable tier: ROMs and session snapshots), each with exact-failover
-// snapshotting (-session-snapshot-every 1 equivalent).
-func startFleet(t *testing.T, n int, dir string) []*fleetReplica {
+// snapshotting (-session-snapshot-every 1 equivalent). Each replica's
+// handler runs behind wrap.
+func startFleet(t *testing.T, n int, dir string, wrap func(http.Handler) http.Handler) []*fleetReplica {
 	t.Helper()
 	var fleet []*fleetReplica
 	for i := 0; i < n; i++ {
@@ -41,7 +43,7 @@ func startFleet(t *testing.T, n int, dir string) []*fleetReplica {
 			t.Fatalf("store.Open: %v", err)
 		}
 		srv := serve.New(serve.Config{Workers: 2, Store: st, SnapshotEvery: 1})
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewServer(wrap(srv.Handler()))
 		u, _ := url.Parse(ts.URL)
 		proxy, err := chaos.New(u.Host)
 		if err != nil {
@@ -155,6 +157,22 @@ func advanceRows(t *testing.T, routerURL, sessionID string, steps int) []serveRo
 	return rows
 }
 
+// isReduceOf reports whether r is a /reduce of the named benchmark at the
+// given scale, leaving the body readable for the handler behind.
+func isReduceOf(r *http.Request, benchmark string, scale float64) bool {
+	if r.URL.Path != "/reduce" {
+		return false
+	}
+	raw, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	r.Body = io.NopCloser(bytes.NewReader(raw))
+	var req struct {
+		Benchmark string  `json:"benchmark"`
+		Scale     float64 `json:"scale"`
+	}
+	return err == nil && json.Unmarshal(raw, &req) == nil && req.Benchmark == benchmark && req.Scale == scale
+}
+
 type serveRow struct {
 	T float64   `json:"t"`
 	Y []float64 `json:"y"`
@@ -168,8 +186,21 @@ func TestFleetChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet e2e is several seconds of real integration")
 	}
+	const herd = 10
 	dir := t.TempDir()
-	fleet := startFleet(t, 3, dir)
+	// The herd's single upstream build waits until every other herd member
+	// has joined the router's single-flight, so the exactly-once check below
+	// holds however fast the build is. holdHerdBuild is armed once the
+	// router exists.
+	var holdHerdBuild atomic.Pointer[func()]
+	fleet := startFleet(t, 3, dir, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if hold := holdHerdBuild.Load(); hold != nil && isReduceOf(r, "ckt1", 0.2) {
+				(*hold)()
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
 	rt, err := New(Config{
 		Replicas:      fleetURLs(fleet),
 		ProbeInterval: -1, // breaker-only health: chaos faults stay deterministic per request
@@ -195,7 +226,19 @@ func TestFleetChaos(t *testing.T) {
 
 	// --- single-flight proof: a thundering herd reduces exactly once ---
 	before := reduceCount(t, fleet)
-	const herd = 10
+	mergedBefore := rt.metrics.merged.Value()
+	hold := func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for rt.metrics.merged.Value()-mergedBefore < herd-1 {
+			if time.Now().After(deadline) {
+				t.Errorf("only %d of %d herd followers joined the single-flight within 10s",
+					rt.metrics.merged.Value()-mergedBefore, herd-1)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	holdHerdBuild.Store(&hold)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	errs := make(chan error, herd)
@@ -223,6 +266,7 @@ func TestFleetChaos(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	holdHerdBuild.Store(nil)
 	if delta := reduceCount(t, fleet) - before; delta != 1 {
 		t.Fatalf("herd of %d drove %g upstream /reduce calls across the fleet, want exactly 1 (router single-flight)", herd, delta)
 	}

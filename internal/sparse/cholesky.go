@@ -14,10 +14,16 @@ var ErrNotSPD = errors.New("sparse: matrix is not symmetric positive definite")
 // positive definite matrix, such as the pencil (s0·C - G) of an RC-only
 // power grid at a real expansion point. Roughly half the work and fill of
 // LU on the same matrix. Implements the Solver interface.
+//
+// L is stored in the solve-ready packed layout: the diagonal as its own
+// slice, the strict lower triangle as int32-indexed columns with rows in
+// increasing order, and the ordering as int32 — 12 bytes per off-diagonal
+// nonzero.
 type Cholesky struct {
-	n int
-	l *CSC[float64] // lower triangular, diagonal first per column
-	q Perm          // fill-reducing ordering (new→old)
+	n    int
+	diag []float64          // L[j][j]
+	l    packedTri[float64] // strict lower triangle of L
+	q    []int32            // fill-reducing ordering (new→old)
 }
 
 // IsSymmetric reports whether A equals Aᵀ within the given relative
@@ -58,6 +64,9 @@ func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
 	if n != m {
 		return nil, fmt.Errorf("sparse: cannot Cholesky-factor non-square %d×%d matrix", n, m)
 	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: cannot Cholesky-factor %d×%d matrix: dimension exceeds int32 indexing", n, n)
+	}
 	q := IdentityPerm(n)
 	switch opts.Ordering {
 	case OrderRCM:
@@ -73,11 +82,9 @@ func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
 	// Elimination tree and an ereach-based up-looking factorization
 	// (Davis, "Direct Methods for Sparse Linear Systems", ch. 4).
 	parent := etree(aq)
-	lp := make([]int, n+1)
-	li := make([]int, 0, 4*aq.NNZ())
-	lx := make([]float64, 0, 4*aq.NNZ())
-	// Column pattern lists are built row by row: colEntries[j] accumulates
-	// (row, value) pairs below the diagonal of column j.
+	// Column pattern lists are built row by row: colRows[j]/colVals[j]
+	// accumulate the (row, value) pairs below the diagonal of column j, in
+	// increasing row order.
 	diag := make([]float64, n)
 	colRows := make([][]int32, n)
 	colVals := make([][]float64, n)
@@ -139,25 +146,27 @@ func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
 		}
 		diag[k] = math.Sqrt(d)
 	}
-	// Assemble CSC L with the diagonal first in each column.
-	for j := 0; j < n; j++ {
-		lp[j+1] = lp[j] + 1 + len(colRows[j])
+	// Pack the strict lower triangle column by column, releasing each
+	// column list once it is copied.
+	nnz := 0
+	for j := range colRows {
+		nnz += len(colRows[j])
 	}
-	li = li[:0]
-	lx = lx[:0]
-	for j := 0; j < n; j++ {
-		li = append(li, j)
-		lx = append(lx, diag[j])
-		for idx, r := range colRows[j] {
-			li = append(li, int(r))
-			lx = append(lx, colVals[j][idx])
-		}
+	if nnz > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: Cholesky factor of %d entries exceeds int32 indexing", nnz)
 	}
-	return &Cholesky{
-		n: n,
-		l: &CSC[float64]{rows: n, cols: n, ColPtr: lp, RowIdx: li, Val: lx},
-		q: q,
-	}, nil
+	l := packedTri[float64]{
+		colPtr: make([]int32, n+1),
+		rowIdx: make([]int32, 0, nnz),
+		val:    make([]float64, 0, nnz),
+	}
+	for j := 0; j < n; j++ {
+		l.rowIdx = append(l.rowIdx, colRows[j]...)
+		l.val = append(l.val, colVals[j]...)
+		l.colPtr[j+1] = int32(len(l.rowIdx))
+		colRows[j], colVals[j] = nil, nil
+	}
+	return &Cholesky{n: n, diag: diag, l: l, q: permInt32(q)}, nil
 }
 
 // etree computes the elimination tree of a symmetric matrix given in CSC
@@ -188,8 +197,8 @@ func etree(a *CSC[float64]) []int {
 // N returns the system dimension.
 func (c *Cholesky) N() int { return c.n }
 
-// NNZ returns the stored entry count of L.
-func (c *Cholesky) NNZ() int { return c.l.NNZ() }
+// NNZ returns the stored entry count of L, diagonal included.
+func (c *Cholesky) NNZ() int { return c.n + c.l.nnz() }
 
 // Solve solves A x = b into dst; dst and b may alias.
 func (c *Cholesky) Solve(dst, b []float64) error {
@@ -201,35 +210,10 @@ func (c *Cholesky) Solve(dst, b []float64) error {
 	return nil
 }
 
-// SolveBuf is Solve with a caller-provided scratch buffer.
+// SolveBuf is Solve with a caller-provided scratch buffer of length N.
 func (c *Cholesky) SolveBuf(dst, b, w []float64) {
-	n := c.n
-	for i := 0; i < n; i++ {
-		w[i] = b[c.q[i]]
-	}
-	l := c.l
-	// Forward solve L z = w.
-	for j := 0; j < n; j++ {
-		dp := l.ColPtr[j]
-		zj := w[j] / l.Val[dp]
-		w[j] = zj
-		if zj == 0 {
-			continue
-		}
-		for p := dp + 1; p < l.ColPtr[j+1]; p++ {
-			w[l.RowIdx[p]] -= l.Val[p] * zj
-		}
-	}
-	// Back solve Lᵀ y = z.
-	for j := n - 1; j >= 0; j-- {
-		dp := l.ColPtr[j]
-		sum := w[j]
-		for p := dp + 1; p < l.ColPtr[j+1]; p++ {
-			sum -= l.Val[p] * w[l.RowIdx[p]]
-		}
-		w[j] = sum / l.Val[dp]
-	}
-	for i := 0; i < n; i++ {
-		dst[c.q[i]] = w[i]
-	}
+	permGather(w, b, c.q)
+	lowerSolve(w, c.diag, &c.l)      // L z = P b
+	lowerTransSolve(w, c.diag, &c.l) // Lᵀ y = z
+	permScatter(dst, w, c.q)
 }

@@ -89,21 +89,7 @@ func TestCholeskyRandomSPDProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(30)
-		// SPD via AᵀA + shift on a random sparse A, symmetrized exactly.
-		c := NewCOO[float64](n, n)
-		for i := 0; i < n; i++ {
-			c.Add(i, i, float64(n))
-		}
-		for k := 0; k < 2*n; k++ {
-			i, j := rng.Intn(n), rng.Intn(n)
-			if i == j {
-				continue
-			}
-			v := rng.NormFloat64() * 0.5
-			c.Add(i, j, v)
-			c.Add(j, i, v)
-		}
-		a := c.ToCSC()
+		a := randomSPDCSC(rng, n)
 		ch, err := FactorCholesky(a, LUOptions{Ordering: OrderAMD})
 		if err != nil {
 			return false

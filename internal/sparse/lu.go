@@ -3,6 +3,7 @@ package sparse
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrSingular is returned when LU factorization encounters a column with no
@@ -33,12 +34,20 @@ func (o *LUOptions) defaults() {
 // triangular L and upper triangular U, where q is the fill-reducing
 // pre-ordering and Pr the partial-pivoting row permutation. It implements
 // the Solver interface.
+//
+// The factors are stored in the solve-ready packed layout: strict
+// triangles as int32-indexed columns (L's unit diagonal implicit, U's
+// diagonal as its own slice) and both permutations as int32 — 12 bytes per
+// real off-diagonal nonzero.
 type LU[T Scalar] struct {
-	n    int
-	l    *CSC[T] // unit lower triangular, diagonal stored first per column
-	u    *CSC[T] // upper triangular, diagonal stored last per column
-	q    Perm    // symmetric pre-ordering (new→old)
-	pinv []int   // row i of A(q,q) becomes pivot row pinv[i]
+	n     int
+	l     packedTri[T] // strict lower triangle of L, pivot coordinates
+	u     packedTri[T] // strict upper triangle of U
+	udiag []T          // U[j][j]
+	q     []int32      // symmetric pre-ordering (new→old)
+	// rq gathers the right-hand side into pivot order: the solve's first
+	// step is w[k] = b[rq[k]], i.e. Pr applied after the pre-ordering.
+	rq []int32
 }
 
 // FactorLU computes a sparse LU factorization of the square matrix a.
@@ -47,6 +56,9 @@ func FactorLU[T Scalar](a *CSC[T], opts LUOptions) (*LU[T], error) {
 	n, m := a.Dims()
 	if n != m {
 		return nil, fmt.Errorf("sparse: cannot LU-factor non-square %d×%d matrix", n, m)
+	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: cannot LU-factor %d×%d matrix: dimension exceeds int32 indexing", n, n)
 	}
 	q := IdentityPerm(n)
 	switch opts.Ordering {
@@ -60,13 +72,21 @@ func FactorLU[T Scalar](a *CSC[T], opts LUOptions) (*LU[T], error) {
 		aq = a.PermuteSym(q)
 	}
 
+	// L and U are built directly in packed form. Until the final remap, L
+	// row indices are in pre-ordered space so the symbolic DFS can follow
+	// them through pinv.
 	nnzEst := 4*a.NNZ() + n
-	lp := make([]int, n+1)
-	li := make([]int, 0, nnzEst)
-	lx := make([]T, 0, nnzEst)
-	up := make([]int, n+1)
-	ui := make([]int, 0, nnzEst)
-	ux := make([]T, 0, nnzEst)
+	l := packedTri[T]{
+		colPtr: make([]int32, n+1),
+		rowIdx: make([]int32, 0, nnzEst),
+		val:    make([]T, 0, nnzEst),
+	}
+	u := packedTri[T]{
+		colPtr: make([]int32, n+1),
+		rowIdx: make([]int32, 0, nnzEst),
+		val:    make([]T, 0, nnzEst),
+	}
+	udiag := make([]T, n)
 
 	pinv := make([]int, n)
 	for i := range pinv {
@@ -85,7 +105,7 @@ func FactorLU[T Scalar](a *CSC[T], opts LUOptions) (*LU[T], error) {
 			if marked[i] {
 				continue
 			}
-			top = luDFS(i, lp, li, pinv, marked, xi, pstack, top)
+			top = luDFS(i, l.colPtr, l.rowIdx, pinv, marked, xi, pstack, top)
 		}
 		// Numeric: scatter column j and eliminate in topological order.
 		for p := top; p < n; p++ {
@@ -105,9 +125,11 @@ func FactorLU[T Scalar](a *CSC[T], opts LUOptions) (*LU[T], error) {
 			if IsZero(xiVal) {
 				continue
 			}
-			// Skip the unit diagonal stored first in column col.
-			for k := lp[col] + 1; k < lp[col+1]; k++ {
-				x[li[k]] -= lx[k] * xiVal
+			lo, hi := l.colPtr[col], l.colPtr[col+1]
+			rows := l.rowIdx[lo:hi]
+			vals := l.val[lo:hi][:len(rows)]
+			for k, r := range rows {
+				x[r] -= vals[k] * xiVal
 			}
 		}
 		// Pivot selection among not-yet-pivoted rows with threshold
@@ -140,48 +162,56 @@ func FactorLU[T Scalar](a *CSC[T], opts LUOptions) (*LU[T], error) {
 		pivot := x[ipiv]
 		pinv[ipiv] = j
 
-		// Emit U column j (rows already pivoted, plus the pivot last) and
-		// L column j (unit diagonal first, then subdiagonal entries).
-		li = append(li, ipiv)
-		lx = append(lx, FromFloat[T](1))
+		// Emit U column j (rows already pivoted; the pivot goes to udiag)
+		// and L column j (subdiagonal entries; the unit diagonal is
+		// implicit).
 		for p := top; p < n; p++ {
 			i := xi[p]
 			marked[i] = false // reset for next column
 			switch {
 			case pinv[i] >= 0 && i != ipiv:
-				ui = append(ui, pinv[i])
-				ux = append(ux, x[i])
+				u.rowIdx = append(u.rowIdx, int32(pinv[i]))
+				u.val = append(u.val, x[i])
 			case pinv[i] < 0:
 				if !IsZero(x[i]) {
-					li = append(li, i)
-					lx = append(lx, x[i]/pivot)
+					l.rowIdx = append(l.rowIdx, int32(i))
+					l.val = append(l.val, x[i]/pivot)
 				}
 			}
 		}
-		ui = append(ui, j)
-		ux = append(ux, pivot)
-		lp[j+1] = len(li)
-		up[j+1] = len(ui)
+		udiag[j] = pivot
+		if len(l.val) > math.MaxInt32 || len(u.val) > math.MaxInt32 {
+			return nil, fmt.Errorf("sparse: LU factor of %d entries exceeds int32 indexing", len(l.val)+len(u.val))
+		}
+		l.colPtr[j+1] = int32(len(l.rowIdx))
+		u.colPtr[j+1] = int32(len(u.rowIdx))
 	}
 
 	// Remap L row indices into pivot coordinates so L is truly lower
 	// triangular; U rows are already in pivot coordinates.
-	for k := range li {
-		li[k] = pinv[li[k]]
+	for k, i := range l.rowIdx {
+		l.rowIdx[k] = int32(pinv[i])
+	}
+	// rq[pinv[i]] = q[i]: the pivot-order gather of the right-hand side.
+	rq := make([]int32, n)
+	for i, k := range pinv {
+		rq[k] = int32(q[i])
 	}
 	return &LU[T]{
-		n:    n,
-		l:    &CSC[T]{rows: n, cols: n, ColPtr: lp, RowIdx: li, Val: lx},
-		u:    &CSC[T]{rows: n, cols: n, ColPtr: up, RowIdx: ui, Val: ux},
-		q:    q,
-		pinv: pinv,
+		n:     n,
+		l:     l.compact(),
+		u:     u.compact(),
+		udiag: udiag,
+		q:     permInt32(q),
+		rq:    rq,
 	}, nil
 }
 
 // luDFS performs the depth-first search of the Gilbert–Peierls symbolic
-// step from row index i, pushing the reach in reverse topological order into
-// xi[top-1:...]. Returns the new top.
-func luDFS(i int, lp []int, li []int, pinv []int, marked []bool, xi, pstack []int, top int) int {
+// step from row index i over the strict lower triangle of L built so far
+// (lp, li; row indices still in pre-ordered space), pushing the reach in
+// reverse topological order into xi[top-1:...]. Returns the new top.
+func luDFS(i int, lp, li []int32, pinv []int, marked []bool, xi, pstack []int, top int) int {
 	head := 0
 	xi[head] = i
 	for head >= 0 {
@@ -192,13 +222,13 @@ func luDFS(i int, lp []int, li []int, pinv []int, marked []bool, xi, pstack []in
 			if jcol < 0 {
 				pstack[head] = 0
 			} else {
-				pstack[head] = lp[jcol] + 1 // skip unit diagonal
+				pstack[head] = int(lp[jcol])
 			}
 		}
 		done := true
 		if jcol >= 0 {
-			for p := pstack[head]; p < lp[jcol+1]; p++ {
-				row := li[p]
+			for p := pstack[head]; p < int(lp[jcol+1]); p++ {
+				row := int(li[p])
 				if !marked[row] {
 					pstack[head] = p + 1
 					head++
@@ -220,8 +250,9 @@ func luDFS(i int, lp []int, li []int, pinv []int, marked []bool, xi, pstack []in
 // N returns the dimension of the factored matrix.
 func (lu *LU[T]) N() int { return lu.n }
 
-// NNZ returns the total number of stored entries in L and U.
-func (lu *LU[T]) NNZ() int { return lu.l.NNZ() + lu.u.NNZ() }
+// NNZ returns the total number of entries of L and U, both diagonals
+// included.
+func (lu *LU[T]) NNZ() int { return 2*lu.n + lu.l.nnz() + lu.u.nnz() }
 
 // Solve solves A x = b, storing the result in dst. dst and b must have
 // length N and may alias each other.
@@ -237,40 +268,10 @@ func (lu *LU[T]) Solve(dst, b []T) error {
 // SolveBuf is Solve with a caller-provided scratch buffer of length N,
 // avoiding per-solve allocation in Krylov loops.
 func (lu *LU[T]) SolveBuf(dst, b, w []T) {
-	n := lu.n
-	// w = Pr · b(q): row i of the pre-ordered system is b[q[i]] and lands
-	// in pivot position pinv[i].
-	for i := 0; i < n; i++ {
-		w[lu.pinv[i]] = b[lu.q[i]]
-	}
-	// Forward solve L z = w (unit diagonal first per column).
-	l := lu.l
-	for j := 0; j < n; j++ {
-		zj := w[j]
-		if IsZero(zj) {
-			continue
-		}
-		for p := l.ColPtr[j] + 1; p < l.ColPtr[j+1]; p++ {
-			w[l.RowIdx[p]] -= l.Val[p] * zj
-		}
-	}
-	// Back solve U y = z (diagonal last per column).
-	u := lu.u
-	for j := n - 1; j >= 0; j-- {
-		dp := u.ColPtr[j+1] - 1
-		yj := w[j] / u.Val[dp]
-		w[j] = yj
-		if IsZero(yj) {
-			continue
-		}
-		for p := u.ColPtr[j]; p < dp; p++ {
-			w[u.RowIdx[p]] -= u.Val[p] * yj
-		}
-	}
-	// Undo the symmetric pre-ordering: x[q[i]] = y[i].
-	for i := 0; i < n; i++ {
-		dst[lu.q[i]] = w[i]
-	}
+	permGather(w, b, lu.rq)        // w = Pr · b(q)
+	unitLowerSolve(w, &lu.l)       // L z = w
+	upperSolve(w, lu.udiag, &lu.u) // U y = z
+	permScatter(dst, w, lu.q)      // x[q[i]] = y[i]
 }
 
 // SolveMany solves A X = B column-by-column in place: each element of x is
@@ -286,19 +287,20 @@ func (lu *LU[T]) SolveMany(x [][]T) error {
 	return nil
 }
 
-// Det returns the determinant of A computed from the U diagonal and the
-// permutation signs. Intended for small systems and tests; overflows for
-// large matrices.
+// Det returns the determinant of A: the product of the U diagonal times
+// the sign of the row permutation Pr (the symmetric pre-ordering leaves the
+// determinant unchanged). Intended for small systems and tests; overflows
+// for large matrices.
 func (lu *LU[T]) Det() T {
-	det := FromFloat[T](permSign(lu.q) * permSignPinv(lu.pinv))
-	u := lu.u
-	for j := 0; j < lu.n; j++ {
-		det *= u.Val[u.ColPtr[j+1]-1]
+	// Pr's sign is that of rq composed with q⁻¹.
+	det := FromFloat[T](permSign(lu.rq) * permSign(lu.q))
+	for _, d := range lu.udiag {
+		det *= d
 	}
 	return det
 }
 
-func permSign(p Perm) float64 {
+func permSign(p []int32) float64 {
 	seen := make([]bool, len(p))
 	sign := 1.0
 	for i := range p {
@@ -306,7 +308,7 @@ func permSign(p Perm) float64 {
 			continue
 		}
 		cycleLen := 0
-		for j := i; !seen[j]; j = p[j] {
+		for j := i; !seen[j]; j = int(p[j]) {
 			seen[j] = true
 			cycleLen++
 		}
@@ -315,8 +317,4 @@ func permSign(p Perm) float64 {
 		}
 	}
 	return sign
-}
-
-func permSignPinv(pinv []int) float64 {
-	return permSign(Perm(pinv))
 }

@@ -313,3 +313,59 @@ func TestLUSolveAliasing(t *testing.T) {
 		}
 	}
 }
+
+// TestLUDetMatchesDense checks Det — the U diagonal times the sign of the
+// row permutation alone — against a dense elimination under every
+// ordering, so a pre-ordering of odd sign cannot flip the result.
+func TestLUDetMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 20; trial++ {
+		n := 3 + rng.Intn(6)
+		a := randomSquareCSC(rng, n, 0.4)
+		want := denseDet(a)
+		for _, ord := range allOrderings {
+			lu, err := FactorLU(a, LUOptions{Ordering: ord, PivotTol: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := lu.Det(); math.Abs(got-want) > 1e-9*math.Abs(want) {
+				t.Fatalf("trial %d %v: Det = %g, dense %g", trial, ord, got, want)
+			}
+		}
+	}
+}
+
+// denseDet is Gaussian elimination with partial pivoting on a dense copy.
+func denseDet(a *CSC[float64]) float64 {
+	n, _ := a.Dims()
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+	}
+	for j := 0; j < n; j++ {
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			m[a.RowIdx[p]][j] = a.Val[p]
+		}
+	}
+	det := 1.0
+	for k := 0; k < n; k++ {
+		piv := k
+		for i := k + 1; i < n; i++ {
+			if math.Abs(m[i][k]) > math.Abs(m[piv][k]) {
+				piv = i
+			}
+		}
+		if piv != k {
+			m[k], m[piv] = m[piv], m[k]
+			det = -det
+		}
+		det *= m[k][k]
+		for i := k + 1; i < n; i++ {
+			f := m[i][k] / m[k][k]
+			for j := k; j < n; j++ {
+				m[i][j] -= f * m[k][j]
+			}
+		}
+	}
+	return det
+}

@@ -53,3 +53,13 @@ func ApplyVecInv[T Scalar](dst []T, p Perm, x []T) {
 		dst[pi] = x[i]
 	}
 }
+
+// permInt32 returns p with int32 entries, the index width of the packed
+// factor layouts. Callers bound len(p) by math.MaxInt32 beforehand.
+func permInt32(p Perm) []int32 {
+	out := make([]int32, len(p))
+	for i, pi := range p {
+		out[i] = int32(pi)
+	}
+	return out
+}
