@@ -31,6 +31,9 @@ type ScaleRung struct {
 	Kept     int `json:"kept"`
 	// Order is the final ROM order (Σ block sizes).
 	Order int `json:"order"`
+	// FactorNNZ is the fill of the pencil factorization the Krylov solves
+	// run against; it exposes a lost fill-reducing ordering directly.
+	FactorNNZ int `json:"factor_nnz"`
 
 	BuildSeconds     float64 `json:"build_seconds"`
 	PartitionSeconds float64 `json:"partition_seconds"`
@@ -138,6 +141,7 @@ func Scale(cfg Config, maxNodes int) (*ScaleResult, error) {
 		rung.External = stats.Ward.External
 		rung.Boundary = stats.Ward.Boundary
 		rung.Kept = stats.Ward.Internal + stats.Ward.Boundary
+		rung.FactorNNZ = stats.FactorNNZ
 		romN, _, _ := rom.Dims()
 		rung.Order = romN
 		res.Rungs = append(res.Rungs, rung)
@@ -230,11 +234,11 @@ func fitLogLogSlope(rungs []ScaleRung) float64 {
 // Render prints the ladder as a table.
 func (r *ScaleResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Sparse-first scale ladder (moments=%d, %d workers)\n", r.Moments, r.GoMaxProcs)
-	fmt.Fprintf(w, "%10s %10s %9s %9s %6s %8s %8s %8s %8s %8s %8s\n",
-		"nodes", "nnz", "external", "kept", "order", "build", "part", "schur", "factor", "krylov", "reduce")
+	fmt.Fprintf(w, "%10s %10s %9s %9s %6s %10s %8s %8s %8s %8s %8s %8s\n",
+		"nodes", "nnz", "external", "kept", "order", "factor_nnz", "build", "part", "schur", "factor", "krylov", "reduce")
 	for _, rg := range r.Rungs {
-		fmt.Fprintf(w, "%10d %10d %9d %9d %6d %7.2fs %7.3fs %7.3fs %7.2fs %7.2fs %7.2fs\n",
-			rg.Nodes, rg.NNZ, rg.External, rg.Kept, rg.Order,
+		fmt.Fprintf(w, "%10d %10d %9d %9d %6d %10d %7.2fs %7.3fs %7.3fs %7.2fs %7.2fs %7.2fs\n",
+			rg.Nodes, rg.NNZ, rg.External, rg.Kept, rg.Order, rg.FactorNNZ,
 			rg.BuildSeconds, rg.PartitionSeconds, rg.SchurSeconds,
 			rg.FactorSeconds, rg.KrylovSeconds, rg.ReduceSeconds)
 	}

@@ -55,7 +55,9 @@ type Options struct {
 	// Backend selects LU or iterative pencil solves. The iterative backend
 	// reproduces the paper's memory-saving mode for the largest grids.
 	Backend krylov.Backend
-	// LU configures the direct backend.
+	// LU configures the direct backend. The zero value factors the pencil
+	// AMD-ordered (sparse.OrderAMD is the zero Ordering) with the default
+	// pivot tolerance.
 	LU sparse.LUOptions
 	// Iter configures the iterative backend.
 	Iter sparse.IterOptions

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/lti"
+	"repro/internal/sparse"
 )
 
 // rcSystem builds an RC-only grid whose pencil is SPD.
@@ -155,6 +156,47 @@ func TestOperatorSolvesShareWorkerPath(t *testing.T) {
 		}
 		if got := op.Solves() - before; got != 2 {
 			t.Errorf("%s: two applies counted %d solves", tc.name, got)
+		}
+	}
+}
+
+// TestZeroOptionsFactorAMDOrdered pins the operator's default ordering: on
+// ckt1@0.1, RC (Cholesky) and RLC (LU), the fill of a BackendAuto operator
+// with zero LU options equals an explicit OrderAMD's and is below
+// OrderNatural's.
+func TestZeroOptionsFactorAMDOrdered(t *testing.T) {
+	for _, rcOnly := range []bool{true, false} {
+		cfg, err := grid.Benchmark(grid.Ckt1, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.RCOnly = rcOnly
+		m, err := cfg.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := lti.NewSparseSystem(m.C, m.G, m.B, m.L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill := func(o sparse.Ordering) (int, Backend) {
+			op, err := NewOperator(sys, 1e9, OperatorOptions{Backend: BackendAuto, LU: sparse.LUOptions{Ordering: o}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return op.FactorNNZ, op.UsedBackend
+		}
+		op, err := NewOperator(sys, 1e9, OperatorOptions{Backend: BackendAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		amd, backend := fill(sparse.OrderAMD)
+		natural, _ := fill(sparse.OrderNatural)
+		if op.FactorNNZ != amd {
+			t.Errorf("rcOnly=%v (%v): zero-options fill %d, explicit OrderAMD %d", rcOnly, backend, op.FactorNNZ, amd)
+		}
+		if amd >= natural {
+			t.Errorf("rcOnly=%v (%v): OrderAMD fill %d not below OrderNatural's %d", rcOnly, backend, amd, natural)
 		}
 	}
 }

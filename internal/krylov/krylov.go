@@ -56,7 +56,7 @@ func (b Backend) String() string {
 type OperatorOptions struct {
 	// Backend selects direct or iterative solves. Default BackendLU.
 	Backend Backend
-	// LU configures the direct backend.
+	// LU configures the direct backend; the zero value is AMD-ordered.
 	LU sparse.LUOptions
 	// Iter configures the iterative backend.
 	Iter sparse.IterOptions

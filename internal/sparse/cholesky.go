@@ -54,8 +54,8 @@ func IsSymmetric(a *CSR[float64], tol float64) bool {
 }
 
 // FactorCholesky computes the up-looking sparse Cholesky factorization of
-// the SPD matrix a with the selected fill-reducing ordering (OrderAMD is a
-// good default). Returns ErrNotSPD for indefinite or unsymmetric-beyond-
+// the SPD matrix a with the selected fill-reducing ordering (the zero
+// LUOptions selects OrderAMD). Returns ErrNotSPD for indefinite or unsymmetric-beyond-
 // roundoff inputs (only the lower triangle of the permuted matrix is read,
 // so structural symmetry is the caller's responsibility; use IsSymmetric).
 func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
@@ -67,106 +67,110 @@ func FactorCholesky(a *CSC[float64], opts LUOptions) (*Cholesky, error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("sparse: cannot Cholesky-factor %d×%d matrix: dimension exceeds int32 indexing", n, n)
 	}
-	q := IdentityPerm(n)
-	switch opts.Ordering {
-	case OrderRCM:
-		q = RCM(a)
-	case OrderAMD:
-		q = AMD(a)
-	}
-	aq := a
-	if opts.Ordering != OrderNatural {
-		aq = a.PermuteSym(q)
-	}
+	q, aq := preorder(a, opts.Ordering)
 
 	// Elimination tree and an ereach-based up-looking factorization
-	// (Davis, "Direct Methods for Sparse Linear Systems", ch. 4).
+	// (Davis, "Direct Methods for Sparse Linear Systems", ch. 4). The reach
+	// of row k in the tree is the pattern of L's row k, so a symbolic pass
+	// over the same reaches counts L's columns and the factor is allocated
+	// once, flat, in its packed layout.
 	parent := etree(aq)
-	// Column pattern lists are built row by row: colRows[j]/colVals[j]
-	// accumulate the (row, value) pairs below the diagonal of column j, in
-	// increasing row order.
-	diag := make([]float64, n)
-	colRows := make([][]int32, n)
-	colVals := make([][]float64, n)
-
-	x := make([]float64, n)    // dense scratch for row k
 	pattern := make([]int, n)  // ereach stack
 	marked := make([]int32, n) // epoch marks
 	epoch := int32(0)
+	colPtr := make([]int, n+1)
+	for k := 0; k < n; k++ {
+		epoch++
+		top := ereach(aq, k, parent, pattern, marked, epoch)
+		for _, j := range pattern[top:] {
+			colPtr[j+1]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	clear(marked)
+	epoch = 0
+	nnz := colPtr[n]
+	if nnz > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: Cholesky factor of %d entries exceeds int32 indexing", nnz)
+	}
+	l := packedTri[float64]{
+		colPtr: make([]int32, n+1),
+		rowIdx: make([]int32, nnz),
+		val:    make([]float64, nnz),
+	}
+	for j, p := range colPtr {
+		l.colPtr[j] = int32(p)
+	}
+	// fill[j] is where the next entry of column j goes; column j's rows
+	// are recorded in increasing order as the rows k are factored.
+	fill := colPtr[:n]
+	diag := make([]float64, n)
+	x := make([]float64, n) // dense scratch for row k
 
 	for k := 0; k < n; k++ {
 		// Scatter row k of the lower triangle of A (= column k of upper).
 		epoch++
-		top := n
+		top := ereach(aq, k, parent, pattern, marked, epoch)
 		akk := 0.0
 		for p := aq.ColPtr[k]; p < aq.ColPtr[k+1]; p++ {
-			i := aq.RowIdx[p]
-			if i > k {
-				continue // lower part handled when its row is reached
-			}
-			if i == k {
+			if i := aq.RowIdx[p]; i < k {
+				x[i] = aq.Val[p]
+			} else if i == k {
 				akk = aq.Val[p]
-				continue
-			}
-			x[i] = aq.Val[p]
-			// Walk up the elimination tree to collect the reach.
-			len0 := 0
-			for t := i; t != -1 && t < k && marked[t] != epoch; t = parent[t] {
-				pattern[len0] = t
-				len0++
-				marked[t] = epoch
-			}
-			for len0 > 0 {
-				len0--
-				top--
-				pattern[top] = pattern[len0]
 			}
 		}
 		// Up-looking triangular solve across the reach in topological order.
 		d := akk
-		for t := top; t < n; t++ {
-			j := pattern[t]
+		for _, j := range pattern[top:] {
 			lkj := x[j] / diag[j]
 			x[j] = 0
-			// x -= L(:,j)·lkj for rows in (j, k).
-			rows := colRows[j]
-			vals := colVals[j]
-			for idx, r := range rows {
-				if int(r) < k {
-					x[r] -= vals[idx] * lkj
-				}
+			// x -= L(:,j)·lkj for the rows of column j so far, all < k.
+			lo := l.colPtr[j]
+			for idx, r := range l.rowIdx[lo:fill[j]] {
+				x[r] -= l.val[int(lo)+idx] * lkj
 			}
 			d -= lkj * lkj
 			// Record L[k][j].
-			colRows[j] = append(colRows[j], int32(k))
-			colVals[j] = append(colVals[j], lkj)
+			l.rowIdx[fill[j]] = int32(k)
+			l.val[fill[j]] = lkj
+			fill[j]++
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return nil, fmt.Errorf("%w: pivot %g at column %d", ErrNotSPD, d, k)
 		}
 		diag[k] = math.Sqrt(d)
 	}
-	// Pack the strict lower triangle column by column, releasing each
-	// column list once it is copied.
-	nnz := 0
-	for j := range colRows {
-		nnz += len(colRows[j])
-	}
-	if nnz > math.MaxInt32 {
-		return nil, fmt.Errorf("sparse: Cholesky factor of %d entries exceeds int32 indexing", nnz)
-	}
-	l := packedTri[float64]{
-		colPtr: make([]int32, n+1),
-		rowIdx: make([]int32, 0, nnz),
-		val:    make([]float64, 0, nnz),
-	}
-	for j := 0; j < n; j++ {
-		l.rowIdx = append(l.rowIdx, colRows[j]...)
-		l.val = append(l.val, colVals[j]...)
-		l.colPtr[j+1] = int32(len(l.rowIdx))
-		colRows[j], colVals[j] = nil, nil
-	}
 	return &Cholesky{n: n, diag: diag, l: l, q: permInt32(q)}, nil
+}
+
+// ereach writes the pattern of row k of the Cholesky factor — the reach of
+// the upper-triangle entries of column k of a in the elimination tree —
+// into pattern[top:] in topological order and returns top. Nodes reached
+// are marked with epoch.
+func ereach(a *CSC[float64], k int, parent, pattern []int, marked []int32, epoch int32) int {
+	n := len(pattern)
+	top := n
+	for p := a.ColPtr[k]; p < a.ColPtr[k+1]; p++ {
+		i := a.RowIdx[p]
+		if i >= k {
+			continue // lower part handled when its row is reached
+		}
+		// Walk up the elimination tree to collect the reach.
+		len0 := 0
+		for t := i; t != -1 && t < k && marked[t] != epoch; t = parent[t] {
+			pattern[len0] = t
+			len0++
+			marked[t] = epoch
+		}
+		for len0 > 0 {
+			len0--
+			top--
+			pattern[top] = pattern[len0]
+		}
+	}
+	return top
 }
 
 // etree computes the elimination tree of a symmetric matrix given in CSC

@@ -1,6 +1,9 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // CSC is a compressed sparse column matrix. Column j occupies the half-open
 // range [ColPtr[j], ColPtr[j+1]) of RowIdx/Val; row indices within a column
@@ -71,7 +74,13 @@ func (a *CSC[T]) MatVec(dst, x []T) {
 
 // PermuteSym returns P A Pᵀ where the permutation p maps new index to old
 // index: (P A Pᵀ)[i][j] = A[p[i]][p[j]]. A must be square and p a valid
-// permutation of its dimension.
+// permutation of its dimension. Rows come out strictly increasing within
+// each column and exact zeros are dropped, as COO compilation does.
+//
+// Column j of the result is column p[j] of A with its rows relabelled, so
+// the result is written in one pass, column after column, and each short
+// column is put in row order by insertion as it is written (long ones by a
+// sort). O(nnz) for the bounded column counts of grid pencils.
 func (a *CSC[T]) PermuteSym(p Perm) *CSC[T] {
 	if a.rows != a.cols {
 		panic("sparse: PermuteSym requires a square matrix")
@@ -79,15 +88,55 @@ func (a *CSC[T]) PermuteSym(p Perm) *CSC[T] {
 	if len(p) != a.cols {
 		panic("sparse: PermuteSym permutation length mismatch")
 	}
+	n := a.cols
 	inv := p.Inverse()
-	coo := NewCOO[T](a.rows, a.cols)
-	for j := 0; j < a.cols; j++ {
-		nj := inv[j]
+	colPtr := make([]int, n+1)
+	rowIdx := make([]int, a.NNZ())
+	val := make([]T, a.NNZ())
+	w := 0
+	for nj, j := range p {
+		lo := w
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			coo.Add(inv[a.RowIdx[k]], nj, a.Val[k])
+			v := a.Val[k]
+			if IsZero(v) {
+				continue
+			}
+			r := inv[a.RowIdx[k]]
+			if w-lo >= insertionSortMax {
+				rowIdx[w], val[w] = r, v
+				w++
+				continue
+			}
+			// Insert r into the sorted rowIdx[lo:w].
+			t := w
+			for ; t > lo && rowIdx[t-1] > r; t-- {
+				rowIdx[t], val[t] = rowIdx[t-1], val[t-1]
+			}
+			rowIdx[t], val[t] = r, v
+			w++
 		}
+		if w-lo > insertionSortMax {
+			sort.Sort(colByRow[T]{rowIdx[lo:w], val[lo:w]})
+		}
+		colPtr[nj+1] = w
 	}
-	return coo.ToCSC()
+	return &CSC[T]{rows: n, cols: n, ColPtr: colPtr, RowIdx: rowIdx[:w:w], Val: val[:w:w]}
+}
+
+// insertionSortMax bounds the column length PermuteSym orders by insertion.
+const insertionSortMax = 32
+
+// colByRow sorts one CSC column's entries by row index.
+type colByRow[T Scalar] struct {
+	row []int
+	val []T
+}
+
+func (c colByRow[T]) Len() int           { return len(c.row) }
+func (c colByRow[T]) Less(i, j int) bool { return c.row[i] < c.row[j] }
+func (c colByRow[T]) Swap(i, j int) {
+	c.row[i], c.row[j] = c.row[j], c.row[i]
+	c.val[i], c.val[j] = c.val[j], c.val[i]
 }
 
 // ColNNZ returns the number of stored entries in column j.

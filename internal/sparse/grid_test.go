@@ -16,9 +16,10 @@ func gridPencil(tb testing.TB, m *grid.Model) *sparse.CSC[float64] {
 	return m.C.Add(1e9, m.G, -1).ToCSC()
 }
 
-func ckt1Pencil(tb testing.TB, scale float64, rcOnly bool) *sparse.CSC[float64] {
+// benchmarkPencil assembles the s0 pencil of a paper benchmark grid.
+func benchmarkPencil(tb testing.TB, name string, scale float64, rcOnly bool) *sparse.CSC[float64] {
 	tb.Helper()
-	cfg, err := grid.Benchmark(grid.Ckt1, scale)
+	cfg, err := grid.Benchmark(name, scale)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestSolveBufBitExactOnCkt1Pencils(t *testing.T) {
 		}
 	}
 
-	rc := ckt1Pencil(t, 0.1, true)
+	rc := benchmarkPencil(t, grid.Ckt1, 0.1, true)
 	n, _ := rc.Dims()
 	ch, err := sparse.FactorCholesky(rc, sparse.LUOptions{Ordering: sparse.OrderAMD})
 	if err != nil {
@@ -74,7 +75,7 @@ func TestSolveBufBitExactOnCkt1Pencils(t *testing.T) {
 	}
 	check("RC/Cholesky", n, ch.SolveBuf, func(dst, b []float64) { sparse.OracleCholeskySolve(ch, dst, b) })
 
-	rlc := ckt1Pencil(t, 0.1, false)
+	rlc := benchmarkPencil(t, grid.Ckt1, 0.1, false)
 	n, _ = rlc.Dims()
 	lu, err := sparse.FactorLU(rlc, sparse.LUOptions{Ordering: sparse.OrderAMD})
 	if err != nil {
@@ -105,7 +106,7 @@ func BenchmarkCholeskySolveBuf(b *testing.B) {
 // BenchmarkLUSolveBuf times one pencil solve against the LU factor of the
 // RLC ckt1 grid at scale 0.25.
 func BenchmarkLUSolveBuf(b *testing.B) {
-	a := ckt1Pencil(b, 0.25, false)
+	a := benchmarkPencil(b, grid.Ckt1, 0.25, false)
 	lu, err := sparse.FactorLU(a, sparse.LUOptions{Ordering: sparse.OrderAMD})
 	if err != nil {
 		b.Fatal(err)

@@ -14,7 +14,7 @@ var ErrSingular = errors.New("sparse: matrix is numerically singular")
 // LUOptions configures sparse LU factorization.
 type LUOptions struct {
 	// Ordering selects the fill-reducing pre-ordering applied symmetrically
-	// to rows and columns before factorization. Default: OrderAMD.
+	// to rows and columns before factorization. The zero value is OrderAMD.
 	Ordering Ordering
 	// PivotTol is the threshold-partial-pivoting relative tolerance in
 	// (0, 1]: the diagonal entry is kept as pivot whenever its magnitude is
@@ -60,17 +60,7 @@ func FactorLU[T Scalar](a *CSC[T], opts LUOptions) (*LU[T], error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("sparse: cannot LU-factor %d×%d matrix: dimension exceeds int32 indexing", n, n)
 	}
-	q := IdentityPerm(n)
-	switch opts.Ordering {
-	case OrderRCM:
-		q = RCM(a)
-	case OrderAMD:
-		q = AMD(a)
-	}
-	aq := a
-	if opts.Ordering != OrderNatural {
-		aq = a.PermuteSym(q)
-	}
+	q, aq := preorder(a, opts.Ordering)
 
 	// L and U are built directly in packed form. Until the final remap, L
 	// row indices are in pre-ordered space so the symbolic DFS can follow

@@ -7,15 +7,16 @@ import "sort"
 type Ordering int
 
 const (
+	// OrderAMD applies an approximate-minimum-degree ordering on the
+	// symmetrized pattern A + Aᵀ. It is the zero value, so every
+	// LUOptions{} factors AMD-ordered: the best fill behaviour for the
+	// mesh-structured pencils of power grids.
+	OrderAMD Ordering = iota
 	// OrderNatural factors the matrix as given.
-	OrderNatural Ordering = iota
+	OrderNatural
 	// OrderRCM applies reverse Cuthill–McKee bandwidth reduction. Cheap and
 	// effective for mesh-like power grids at moderate sizes.
 	OrderRCM
-	// OrderAMD applies a minimum-degree ordering on the symmetrized pattern
-	// (quotient-graph implementation with element absorption). Best fill
-	// behaviour for large grids; the library default.
-	OrderAMD
 )
 
 func (o Ordering) String() string {
@@ -28,6 +29,23 @@ func (o Ordering) String() string {
 		return "amd"
 	}
 	return "unknown"
+}
+
+// preorder returns the fill-reducing pre-ordering q that o selects and the
+// symmetrically permuted matrix A(q, q) the factorizations work on: a
+// itself, with the identity, for OrderNatural.
+func preorder[T Scalar](a *CSC[T], o Ordering) (Perm, *CSC[T]) {
+	n, _ := a.Dims()
+	var q Perm
+	switch o {
+	case OrderAMD:
+		q = AMD(a)
+	case OrderRCM:
+		q = RCM(a)
+	default:
+		return IdentityPerm(n), a
+	}
+	return q, a.PermuteSym(q)
 }
 
 // symmetrizedAdjacency builds the adjacency structure of the undirected

@@ -148,8 +148,8 @@ func PartitionSystem(sys *lti.SparseSystem) *Partition {
 // Options configures a Ward reduction.
 type Options struct {
 	// LU sets the fill-reducing ordering and pivot tolerance of the external
-	// factorization. The zero value selects AMD ordering, the right default
-	// for mesh-like grids.
+	// factorization. The zero value selects sparse.OrderAMD (the zero
+	// Ordering), the right default for mesh-like grids.
 	LU sparse.LUOptions
 	// Workers bounds concurrent Schur solves; 0 means GOMAXPROCS. Columns of
 	// the correction are independent, so the solve phase is embarrassingly

@@ -227,3 +227,55 @@ func cmplxAbs(x float64) float64 {
 	}
 	return x
 }
+
+// TestZeroOptionsFactorAMDOrdered pins Ward's default external ordering:
+// with zero LU options, Stats.FactorNNZ equals an explicit OrderAMD's on the
+// RLC ckt1@0.1 grid (pad midpoints external) and on a multiscale grid
+// (resistive backbone external), where it is also below OrderNatural's.
+func TestZeroOptionsFactorAMDOrdered(t *testing.T) {
+	ckt1, err := grid.Benchmark(grid.Ckt1, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multiscale, err := grid.MultiscaleBenchmark(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name         string
+		build        func() (*grid.Model, error)
+		beatsNatural bool
+	}{
+		{"ckt1@0.1", ckt1.Build, false},
+		{multiscale.Name, multiscale.Build, true},
+	} {
+		m, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := lti.NewSparseSystem(m.C, m.G, m.B, m.L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill := func(opts Options) int {
+			res, err := Reduce(sys, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.External == 0 {
+				t.Fatalf("%s: nothing eliminated", c.name)
+			}
+			return res.Stats.FactorNNZ
+		}
+		zero := fill(Options{})
+		amd := fill(Options{LU: sparse.LUOptions{Ordering: sparse.OrderAMD}})
+		if zero != amd {
+			t.Errorf("%s: zero-options fill %d, explicit OrderAMD %d", c.name, zero, amd)
+		}
+		natural := fill(Options{LU: sparse.LUOptions{Ordering: sparse.OrderNatural}})
+		t.Logf("%s: fill amd=%d natural=%d", c.name, amd, natural)
+		if c.beatsNatural && amd >= natural {
+			t.Errorf("%s: OrderAMD fill %d not below OrderNatural's %d", c.name, amd, natural)
+		}
+	}
+}
