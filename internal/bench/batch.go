@@ -130,40 +130,44 @@ func Batch(cfg Config) (*BatchResult, error) {
 		return sts, inputs, nil
 	}
 
-	sts, inputs, err := mkSessions()
+	indepSts, indepInputs, err := mkSessions()
 	if err != nil {
 		return nil, err
 	}
-	indep := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for s := range sts {
-				if _, err := sts[s].Advance(batchChunk, inputs[s]); err != nil {
+	fusedSts, fusedInputs, err := mkSessions()
+	if err != nil {
+		return nil, err
+	}
+	g, err := sim.NewStepperGroup(fusedSts, sim.GroupOptions{})
+	if err != nil {
+		return nil, err
+	}
+	// Both throughput pairs run through obsPair (interleaved, fastest of
+	// three reps per side): a ratio taken from two non-adjacent single runs
+	// swings with whatever else shares the host.
+	group := obsPair("group_advance",
+		func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for s := range indepSts {
+					if _, err := indepSts[s].Advance(batchChunk, indepInputs[s]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		},
+		func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Advance(batchChunk, fusedInputs); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
-	})
-	if secs := indep.T.Seconds(); secs > 0 {
-		out.IndependentStepsPerSec = float64(batchSessions*batchChunk*indep.N) / secs
+		})
+	steps := float64(batchSessions * batchChunk)
+	if ns := group.Baseline.NsPerOp; ns > 0 {
+		out.IndependentStepsPerSec = steps / ns * 1e9
 	}
-
-	sts, inputs, err = mkSessions()
-	if err != nil {
-		return nil, err
-	}
-	g, err := sim.NewStepperGroup(sts, sim.GroupOptions{})
-	if err != nil {
-		return nil, err
-	}
-	fused := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := g.Advance(batchChunk, inputs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	if secs := fused.T.Seconds(); secs > 0 {
-		out.FusedStepsPerSec = float64(batchSessions*batchChunk*fused.N) / secs
+	if ns := group.Instrumented.NsPerOp; ns > 0 {
+		out.FusedStepsPerSec = steps / ns * 1e9
 	}
 	if out.IndependentStepsPerSec > 0 {
 		out.GroupSpeedup = out.FusedStepsPerSec / out.IndependentStepsPerSec
@@ -194,9 +198,9 @@ func Batch(cfg Config) (*BatchResult, error) {
 	const wMin, wMax = 1e5, 1e15
 	points := out.SweepPoints
 
-	concurrent := func(sweep func(e serve.Entry) error) *testing.BenchmarkResult {
+	concurrent := func(sweep func(e serve.Entry) error) func(b *testing.B) {
 		var next atomic.Int64
-		res := testing.Benchmark(func(b *testing.B) {
+		return func(b *testing.B) {
 			b.SetParallelism((batchClients + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
 			b.RunParallel(func(pb *testing.PB) {
 				e := entryFor(int(next.Add(1) - 1))
@@ -206,23 +210,23 @@ func Batch(cfg Config) (*BatchResult, error) {
 					}
 				}
 			})
-		})
-		return &res
+		}
 	}
 
-	direct := concurrent(func(e serve.Entry) error {
-		_, err := ev.SweepEntries(ctx, model, []serve.Entry{e}, wMin, wMax, points)
-		return err
-	})
-	if secs := direct.T.Seconds(); secs > 0 {
-		out.DirectSweepsPerSec = float64(direct.N) / secs
+	sweeps := obsPair("concurrent_sweep",
+		concurrent(func(e serve.Entry) error {
+			_, err := ev.SweepEntries(ctx, model, []serve.Entry{e}, wMin, wMax, points)
+			return err
+		}),
+		concurrent(func(e serve.Entry) error {
+			_, err := coal.SweepEntries(ctx, model, []serve.Entry{e}, wMin, wMax, points)
+			return err
+		}))
+	if ns := sweeps.Baseline.NsPerOp; ns > 0 {
+		out.DirectSweepsPerSec = 1e9 / ns
 	}
-	coalesced := concurrent(func(e serve.Entry) error {
-		_, err := coal.SweepEntries(ctx, model, []serve.Entry{e}, wMin, wMax, points)
-		return err
-	})
-	if secs := coalesced.T.Seconds(); secs > 0 {
-		out.CoalescedSweepsPerSec = float64(coalesced.N) / secs
+	if ns := sweeps.Instrumented.NsPerOp; ns > 0 {
+		out.CoalescedSweepsPerSec = 1e9 / ns
 	}
 	if out.DirectSweepsPerSec > 0 {
 		out.SweepSpeedup = out.CoalescedSweepsPerSec / out.DirectSweepsPerSec

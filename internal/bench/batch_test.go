@@ -29,6 +29,8 @@ func TestBatchRecord(t *testing.T) {
 	if res.IndependentStepsPerSec <= 0 || res.FusedStepsPerSec <= 0 {
 		t.Fatalf("empty group-advance measurement: %+v", res)
 	}
+	t.Logf("group advance %.2f×, coalesced sweeps %.2f×, kernel %d allocs/op",
+		res.GroupSpeedup, res.SweepSpeedup, res.KernelAllocsPerOp)
 	if res.GroupSpeedup <= 1 {
 		t.Errorf("fused group advance %.2f× independent, want >1×", res.GroupSpeedup)
 	}

@@ -181,24 +181,37 @@ func Perf(cfg Config) (*PerfResult, error) {
 
 	// Warm 60-point single-entry sweep: the serving steady state. The
 	// factored variant applies a resident factorization at every point; the
-	// modal variant is one vectorized residue pass.
-	out.Results = append(out.Results, runPerfBench("SweepCachedLU", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, f := range sweepFactors {
-				if err := f.EvalColumnInto(dst, scratch, 0); err != nil {
+	// modal variant is one vectorized residue pass. This pair carries the
+	// headline ratio, so it runs interleaved, three reps per side, and the
+	// fastest rep of each wins: one run per side swings with whatever else
+	// shares the host.
+	sweepDst := make([]complex128, len(omegas))
+	var sweepCached, sweepModal PerfBench
+	for rep := 0; rep < 3; rep++ {
+		cached := runPerfBench("SweepCachedLU", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, f := range sweepFactors {
+					if err := f.EvalColumnInto(dst, scratch, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		modal := runPerfBench("SweepModal", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := ms.SweepEntryInto(sweepDst, 0, 0, omegas); err != nil {
 					b.Fatal(err)
 				}
 			}
+		})
+		if rep == 0 || cached.NsPerOp < sweepCached.NsPerOp {
+			sweepCached = cached
 		}
-	}))
-	sweepDst := make([]complex128, len(omegas))
-	out.Results = append(out.Results, runPerfBench("SweepModal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := ms.SweepEntryInto(sweepDst, 0, 0, omegas); err != nil {
-				b.Fatal(err)
-			}
+		if rep == 0 || modal.NsPerOp < sweepModal.NsPerOp {
+			sweepModal = modal
 		}
-	}))
+	}
+	out.Results = append(out.Results, sweepCached, sweepModal)
 
 	byName := map[string]PerfBench{}
 	for _, r := range out.Results {

@@ -108,7 +108,7 @@ func benchmarkSweep(b *testing.B, m *Model, points int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ev.Sweep(context.Background(), m, 0, 0, DefaultWMin, DefaultWMax, points); err != nil {
+		if _, err := ev.SweepEntries(context.Background(), m, []Entry{{0, 0}}, DefaultWMin, DefaultWMax, points); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,7 +13,7 @@ import (
 )
 
 // This file implements request coalescing — the serving half of the batched
-// kernels. Two independent coalescers, one per workload:
+// kernels. One protocol, coalescer, serves two workloads:
 //
 //   - SweepCoalescer merges concurrent /sweep requests against the same
 //     (model, grid) into one batched kernel call.
@@ -21,9 +23,13 @@ import (
 // Both use natural batching (group commit): the first request under a key
 // executes immediately — an idle server adds no latency window — and
 // requests arriving while an execution is in flight queue up and are taken
-// as one batch by whichever waiter acquires the execution lock next. Batch
+// as one batch by whichever waiter acquires an executor slot next. Batch
 // size adapts to load by itself: idle traffic runs batches of one, a burst
 // of N compatible requests collapses into a handful of kernel calls.
+//
+// Each key has min(engine workers, GOMAXPROCS) executor slots, so a hot key
+// can keep every core busy; with one slot the protocol is a plain group
+// commit behind one executor lock.
 //
 // A batch of one executes under the requester's context, preserving
 // per-request cancellation exactly as before. A shared batch executes
@@ -31,14 +37,165 @@ import (
 // work the other members still want, and the work is bounded by the same
 // per-request budgets either way.
 
-// coalesceState is the per-key queue shared by both coalescers: mu guards
-// the ticket list, execMu serializes executors. A waiter blocked on execMu
-// either finds its ticket already served by the previous executor, or takes
-// everything queued meanwhile and executes the next batch itself.
-type coalesceState struct {
-	refs   int // guarded by the owning coalescer's map lock
-	mu     sync.Mutex
-	execMu sync.Mutex
+// errUnserved is what a request sees when the batch that took it finished
+// without serving it — an exec bug, surfaced as an error instead of a
+// zero response.
+var errUnserved = errors.New("serve: coalesced batch finished without serving the request")
+
+// ticket is one request's slot in a batch. taken is guarded by the key
+// state's mutex and set when an executor removes the ticket from the queue;
+// resp, err and filled are written only by that executor, and read by the
+// ticket's owner after done is closed.
+type ticket[Req, Resp any] struct {
+	req    Req
+	resp   Resp
+	err    error
+	filled bool
+	taken  bool
+	done   chan struct{}
+}
+
+// fill records the ticket's outcome. An exec calls it at most once per
+// ticket; a ticket it never fills receives the exec's error.
+func (t *ticket[Req, Resp]) fill(resp Resp, err error) {
+	t.resp, t.err, t.filled = resp, err, true
+}
+
+// coalesceState is one key's queue: mu guards the queued tickets, slots is
+// the semaphore of executor slots.
+type coalesceState[Req, Resp any] struct {
+	refs  int // guarded by the owning coalescer's map lock
+	slots chan struct{}
+	mu    sync.Mutex
+	queue []*ticket[Req, Resp]
+}
+
+// coalescer batches requests that share a key K and serves each batch with
+// one exec call.
+type coalescer[K comparable, Req, Resp any] struct {
+	exec  func(ctx context.Context, key K, batch []*ticket[Req, Resp]) error
+	slots int
+
+	mu   sync.Mutex
+	keys map[K]*coalesceState[Req, Resp]
+
+	// batches counts executed batches; sharedBatches those that served more
+	// than one request; sharedRequests the requests served by shared
+	// batches. batchSize, when instrumented, records requests per executed
+	// batch.
+	batches        atomic.Int64
+	sharedBatches  atomic.Int64
+	sharedRequests atomic.Int64
+	batchSize      *obs.Histogram
+}
+
+// executorSlots is how many batches one key may run at once: no more than
+// the engine can execute, nor than there are cores to run them on.
+func executorSlots(eng *Engine) int {
+	return min(eng.Workers(), runtime.GOMAXPROCS(0))
+}
+
+func newCoalescer[K comparable, Req, Resp any](slots int, exec func(context.Context, K, []*ticket[Req, Resp]) error) *coalescer[K, Req, Resp] {
+	return &coalescer[K, Req, Resp]{exec: exec, slots: slots, keys: make(map[K]*coalesceState[Req, Resp])}
+}
+
+// Instrument attaches the batch-size histogram.
+func (c *coalescer[K, Req, Resp]) Instrument(batchSize *obs.Histogram) { c.batchSize = batchSize }
+
+func (c *coalescer[K, Req, Resp]) acquire(key K) *coalesceState[Req, Resp] {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := c.keys[key]
+	if st == nil {
+		st = &coalesceState[Req, Resp]{slots: make(chan struct{}, c.slots)}
+		c.keys[key] = st
+	}
+	st.refs++
+	return st
+}
+
+func (c *coalescer[K, Req, Resp]) release(key K, st *coalesceState[Req, Resp]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st.refs--
+	if st.refs == 0 {
+		delete(c.keys, key)
+	}
+}
+
+// do queues req under key and returns its response once the batch that
+// served it has finished.
+func (c *coalescer[K, Req, Resp]) do(ctx context.Context, key K, req Req) (Resp, error) {
+	st := c.acquire(key)
+	defer c.release(key, st)
+
+	t := &ticket[Req, Resp]{req: req, done: make(chan struct{})}
+	st.mu.Lock()
+	st.queue = append(st.queue, t)
+	st.mu.Unlock()
+
+	// Yield once between publishing the ticket and contending for an
+	// executor slot. Under saturation the executing goroutine and the engine
+	// worker otherwise ping-pong through the scheduler's run-next slot and
+	// re-acquire the slot before concurrently arriving requests ever run far
+	// enough to enqueue — batches of one, no coalescing. One yield moves this
+	// goroutine behind those peers, costing well under a microsecond against
+	// kernel calls of tens to hundreds of microseconds.
+	runtime.Gosched()
+
+	select {
+	case st.slots <- struct{}{}:
+		st.mu.Lock()
+		var batch []*ticket[Req, Resp]
+		if !t.taken {
+			batch, st.queue = st.queue, nil
+			for _, tk := range batch {
+				tk.taken = true
+			}
+		}
+		st.mu.Unlock()
+		// A taken ticket belongs to an executor that may still be running:
+		// give the slot back and wait for that executor below.
+		if batch != nil {
+			c.run(ctx, key, batch)
+		}
+		<-st.slots
+	case <-t.done:
+	}
+	<-t.done
+	return t.resp, t.err
+}
+
+// run executes one batch and completes every ticket in it, even when exec
+// panics.
+func (c *coalescer[K, Req, Resp]) run(ctx context.Context, key K, batch []*ticket[Req, Resp]) {
+	var err error
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("serve: coalesced batch panicked: %v", r)
+		}
+		for _, t := range batch {
+			if !t.filled {
+				t.err = err
+				if err == nil {
+					t.err = errUnserved
+				}
+			}
+			close(t.done)
+		}
+	}()
+	execCtx := ctx
+	if len(batch) > 1 {
+		//pgmor:detach a coalesced batch serves many requests; one caller's cancellation must not fail the rest
+		execCtx = context.WithoutCancel(ctx)
+		c.sharedBatches.Add(1)
+		c.sharedRequests.Add(int64(len(batch)))
+	}
+	c.batches.Add(1)
+	if c.batchSize != nil {
+		c.batchSize.Observe(float64(len(batch)))
+	}
+	err = c.exec(execCtx, key, batch)
 }
 
 // ---- sweep coalescing ----
@@ -51,63 +208,40 @@ type sweepKey struct {
 	points     int
 }
 
-// sweepTicket is one request's slot in a batch.
-type sweepTicket struct {
-	entries []Entry
-	done    bool
-	out     []EntrySweep
-	err     error
-}
-
-type sweepState struct {
-	coalesceState
-	tickets []*sweepTicket
-}
-
 // SweepCoalescer fronts Evaluator.SweepEntries with per-(model, grid)
 // natural batching.
 type SweepCoalescer struct {
-	ev *Evaluator
-
-	mu   sync.Mutex
-	keys map[sweepKey]*sweepState
-
-	// batches counts executed kernel batches; sharedBatches those that
-	// served more than one request; sharedRequests the requests served by
-	// shared batches. batchSize, when instrumented, records requests per
-	// executed batch.
-	batches        atomic.Int64
-	sharedBatches  atomic.Int64
-	sharedRequests atomic.Int64
-	batchSize      *obs.Histogram
+	*coalescer[sweepKey, []Entry, []EntrySweep]
 }
 
 func NewSweepCoalescer(ev *Evaluator) *SweepCoalescer {
-	return &SweepCoalescer{ev: ev, keys: make(map[sweepKey]*sweepState)}
-}
-
-// Instrument attaches the batch-size histogram.
-func (c *SweepCoalescer) Instrument(batchSize *obs.Histogram) { c.batchSize = batchSize }
-
-func (c *SweepCoalescer) acquire(key sweepKey) *sweepState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.keys[key]
-	if st == nil {
-		st = &sweepState{}
-		c.keys[key] = st
+	exec := func(ctx context.Context, k sweepKey, batch []*ticket[[]Entry, []EntrySweep]) error {
+		// Union the batch's entries, deduplicated: entries requested by
+		// several members are evaluated once.
+		var union []Entry
+		pos := make(map[Entry]int)
+		for _, t := range batch {
+			for _, e := range t.req {
+				if _, ok := pos[e]; !ok {
+					pos[e] = len(union)
+					union = append(union, e)
+				}
+			}
+		}
+		out, err := ev.SweepEntries(ctx, k.model, union, k.wMin, k.wMax, k.points)
+		if err != nil {
+			return err
+		}
+		for _, t := range batch {
+			mine := make([]EntrySweep, len(t.req))
+			for i, e := range t.req {
+				mine[i] = out[pos[e]]
+			}
+			t.fill(mine, nil)
+		}
+		return nil
 	}
-	st.refs++
-	return st
-}
-
-func (c *SweepCoalescer) release(key sweepKey, st *sweepState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st.refs--
-	if st.refs == 0 {
-		delete(c.keys, key)
-	}
+	return &SweepCoalescer{newCoalescer(executorSlots(ev.eng), exec)}
 }
 
 // SweepEntries behaves exactly like Evaluator.SweepEntries, but concurrent
@@ -127,75 +261,7 @@ func (c *SweepCoalescer) SweepEntries(ctx context.Context, m *Model, entries []E
 			return nil, badRequest("entry (%d,%d) out of range %d×%d", e.Row, e.Col, m.Outputs, m.Ports)
 		}
 	}
-	key := sweepKey{model: m, wMin: wMin, wMax: wMax, points: points}
-	st := c.acquire(key)
-	defer c.release(key, st)
-
-	t := &sweepTicket{entries: entries}
-	st.mu.Lock()
-	st.tickets = append(st.tickets, t)
-	st.mu.Unlock()
-
-	// Yield once between publishing the ticket and contending for the
-	// executor lock. Under saturation the executing goroutine and the engine
-	// worker otherwise ping-pong through the scheduler's run-next slot and
-	// re-acquire the lock before concurrently arriving requests ever run far
-	// enough to enqueue — batches of one, no coalescing. One yield moves this
-	// goroutine behind those peers, costing well under a microsecond against
-	// kernel calls of tens to hundreds of microseconds.
-	runtime.Gosched()
-
-	st.execMu.Lock()
-	defer st.execMu.Unlock()
-	st.mu.Lock()
-	if t.done {
-		// A previous executor took this ticket into its batch.
-		st.mu.Unlock()
-		return t.out, t.err
-	}
-	batch := st.tickets
-	st.tickets = nil
-	st.mu.Unlock()
-
-	// Union the batch's entries, deduplicated: entries requested by several
-	// members are evaluated once.
-	var union []Entry
-	pos := make(map[Entry]int)
-	for _, tk := range batch {
-		for _, e := range tk.entries {
-			if _, ok := pos[e]; !ok {
-				pos[e] = len(union)
-				union = append(union, e)
-			}
-		}
-	}
-	execCtx := ctx
-	if len(batch) > 1 {
-		//pgmor:detach a coalesced batch serves many requests; one caller's cancellation must not fail the rest
-		execCtx = context.WithoutCancel(ctx)
-		c.sharedBatches.Add(1)
-		c.sharedRequests.Add(int64(len(batch)))
-	}
-	c.batches.Add(1)
-	if c.batchSize != nil {
-		c.batchSize.Observe(float64(len(batch)))
-	}
-	out, err := c.ev.SweepEntries(execCtx, m, union, wMin, wMax, points)
-
-	st.mu.Lock()
-	for _, tk := range batch {
-		tk.done = true
-		if err != nil {
-			tk.err = err
-			continue
-		}
-		tk.out = make([]EntrySweep, len(tk.entries))
-		for i, e := range tk.entries {
-			tk.out[i] = out[pos[e]]
-		}
-	}
-	st.mu.Unlock()
-	return t.out, t.err
+	return c.do(ctx, sweepKey{model: m, wMin: wMin, wMax: wMax, points: points}, entries)
 }
 
 // ---- session advance coalescing ----
@@ -208,157 +274,66 @@ type advanceKey struct {
 	method sim.Method
 }
 
-// advanceTicket is one session's chunk in a batch. The stepper is owned by
+// advanceChunk is one session's chunk in a batch. The stepper is owned by
 // the requesting handler (which holds the session lock); handing it to
-// another member's executor is safe because the owner blocks until the
-// ticket is done, and the ticket state is published under the state mutex.
-type advanceTicket struct {
+// another member's executor is safe because the owner blocks until its
+// ticket is done.
+type advanceChunk struct {
 	stepper *sim.Stepper
 	n       int
 	input   sim.Input
-	done    bool
-	res     *sim.Result
-	err     error
-}
-
-type advanceState struct {
-	coalesceState
-	tickets []*advanceTicket
 }
 
 // advanceCoalescer merges concurrent same-model session advances into fused
-// StepperGroup passes, each batch occupying a single engine slot.
-type advanceCoalescer struct {
-	eng *Engine
+// StepperGroup passes.
+type advanceCoalescer = coalescer[advanceKey, advanceChunk, *sim.Result]
 
-	mu   sync.Mutex
-	keys map[advanceKey]*advanceState
-
-	batches         atomic.Int64
-	groupedBatches  atomic.Int64 // batches that fused more than one session
-	groupedSessions atomic.Int64 // sessions advanced via a fused pass
-	groupSize       *obs.Histogram
-}
-
+// newAdvanceCoalescer occupies exactly one engine slot per executed batch,
+// so total integration concurrency stays bounded by the worker count just
+// as with per-session dispatch — a batch simply carries more sessions
+// through the slot.
 func newAdvanceCoalescer(eng *Engine) *advanceCoalescer {
-	return &advanceCoalescer{eng: eng, keys: make(map[advanceKey]*advanceState)}
-}
-
-// Instrument attaches the group-size histogram.
-func (c *advanceCoalescer) Instrument(groupSize *obs.Histogram) { c.groupSize = groupSize }
-
-func (c *advanceCoalescer) acquire(key advanceKey) *advanceState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.keys[key]
-	if st == nil {
-		st = &advanceState{}
-		c.keys[key] = st
-	}
-	st.refs++
-	return st
-}
-
-func (c *advanceCoalescer) release(key advanceKey, st *advanceState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st.refs--
-	if st.refs == 0 {
-		delete(c.keys, key)
-	}
-}
-
-// Advance integrates one session chunk, opportunistically fused with other
-// compatible chunks in flight. Exactly one engine slot is occupied per
-// executed batch, so total integration concurrency stays bounded by the
-// worker count just as with per-session dispatch — a batch simply carries
-// more sessions through the slot.
-func (c *advanceCoalescer) Advance(ctx context.Context, m *Model, dt float64, method sim.Method, stepper *sim.Stepper, n int, input sim.Input) (*sim.Result, error) {
-	key := advanceKey{model: m, dt: dt, method: method}
-	st := c.acquire(key)
-	defer c.release(key, st)
-
-	t := &advanceTicket{stepper: stepper, n: n, input: input}
-	st.mu.Lock()
-	st.tickets = append(st.tickets, t)
-	st.mu.Unlock()
-
-	// Same cooperative yield as SweepEntries: let concurrently arriving
-	// compatible chunks enqueue before the next executor takes its batch.
-	runtime.Gosched()
-
-	st.execMu.Lock()
-	defer st.execMu.Unlock()
-	st.mu.Lock()
-	if t.done {
-		st.mu.Unlock()
-		return t.res, t.err
-	}
-	batch := st.tickets
-	st.tickets = nil
-	st.mu.Unlock()
-
-	execCtx := ctx
-	if len(batch) > 1 {
-		//pgmor:detach a grouped advance serves many sessions; one caller's cancellation must not fail the rest
-		execCtx = context.WithoutCancel(ctx)
-		c.groupedBatches.Add(1)
-		c.groupedSessions.Add(int64(len(batch)))
-	}
-	c.batches.Add(1)
-	if c.groupSize != nil {
-		c.groupSize.Observe(float64(len(batch)))
-	}
-
-	// Chunks of equal length fuse into one StepperGroup pass; stragglers
-	// (short final chunks) advance individually inside the same slot.
-	err := c.eng.MapCtx(execCtx, 1, func(int) error {
-		byN := make(map[int][]*advanceTicket)
-		for _, tk := range batch {
-			byN[tk.n] = append(byN[tk.n], tk)
-		}
-		for steps, group := range byN {
-			if len(group) == 1 {
-				tk := group[0]
-				tk.res, tk.err = tk.stepper.Advance(steps, tk.input)
-				continue
+	type advanceTicket = ticket[advanceChunk, *sim.Result]
+	exec := func(ctx context.Context, _ advanceKey, batch []*advanceTicket) error {
+		// Chunks of equal length fuse into one StepperGroup pass; stragglers
+		// (short final chunks) advance individually inside the same slot.
+		return eng.MapCtx(ctx, 1, func(int) error {
+			byN := make(map[int][]*advanceTicket)
+			for _, t := range batch {
+				byN[t.req.n] = append(byN[t.req.n], t)
 			}
-			members := make([]*sim.Stepper, len(group))
-			inputs := make([]sim.Input, len(group))
-			for i, tk := range group {
-				members[i] = tk.stepper
-				inputs[i] = tk.input
-			}
-			g, gerr := sim.NewStepperGroup(members, sim.GroupOptions{})
-			if gerr != nil {
-				// Incompatible despite the key (distinct stepper shapes are
-				// possible if a model was rebuilt): advance independently.
-				for _, tk := range group {
-					tk.res, tk.err = tk.stepper.Advance(steps, tk.input)
-				}
-				continue
-			}
-			results, gerr := g.Advance(steps, inputs)
-			for i, tk := range group {
-				if gerr != nil {
-					tk.err = gerr
+			for steps, group := range byN {
+				if len(group) == 1 {
+					t := group[0]
+					t.fill(t.req.stepper.Advance(steps, t.req.input))
 					continue
 				}
-				tk.res = results[i]
+				members := make([]*sim.Stepper, len(group))
+				inputs := make([]sim.Input, len(group))
+				for i, t := range group {
+					members[i] = t.req.stepper
+					inputs[i] = t.req.input
+				}
+				g, err := sim.NewStepperGroup(members, sim.GroupOptions{})
+				if err != nil {
+					// Incompatible despite the key (distinct stepper shapes are
+					// possible if a model was rebuilt): advance independently.
+					for _, t := range group {
+						t.fill(t.req.stepper.Advance(steps, t.req.input))
+					}
+					continue
+				}
+				results, err := g.Advance(steps, inputs)
+				for i, t := range group {
+					if err != nil {
+						t.fill(nil, err)
+						continue
+					}
+					t.fill(results[i], nil)
+				}
 			}
-		}
-		return nil
-	})
-
-	st.mu.Lock()
-	for _, tk := range batch {
-		if err != nil && tk.err == nil && tk.res == nil {
-			// The engine task itself failed (context canceled before it
-			// ran): every unserved ticket sees that error.
-			tk.err = err
-		}
-		tk.done = true
+			return nil
+		})
 	}
-	st.mu.Unlock()
-	return t.res, t.err
+	return newCoalescer(executorSlots(eng), exec)
 }

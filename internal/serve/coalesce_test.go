@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func sameSweepPoint(a, b SweepPoint) bool {
 // sized like a small server.
 func coalesceFixture(t testing.TB) (*Model, *Engine, *Evaluator) {
 	t.Helper()
-	m, err := buildModel(ModelKey{Benchmark: "ckt1", Scale: 0.1}, false, nil)
+	m, err := buildModel(ModelKey{Benchmark: "ckt1", Scale: 0.1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +94,10 @@ func TestSweepCoalescerPassThrough(t *testing.T) {
 	}
 }
 
-// TestSweepCoalescerSharedBatch forces a deterministic shared batch: the
-// executor lock is held while N requests queue up, so releasing it makes one
-// request execute all N in a single kernel call, each caller receiving its
-// own entries in its own order.
+// TestSweepCoalescerSharedBatch forces a deterministic shared batch: every
+// executor slot is held while N requests queue up, so releasing them makes
+// one request execute all N in a single kernel call, each caller receiving
+// its own entries in its own order.
 func TestSweepCoalescerSharedBatch(t *testing.T) {
 	m, _, ev := coalesceFixture(t)
 	c := NewSweepCoalescer(ev)
@@ -118,8 +119,7 @@ func TestSweepCoalescerSharedBatch(t *testing.T) {
 	kernelBefore := ev.BatchKernelCalls()
 
 	key := sweepKey{model: m, wMin: DefaultWMin, wMax: DefaultWMax, points: points}
-	st := c.acquire(key)
-	st.execMu.Lock()
+	st := holdSlots(c.coalescer, key)
 
 	got := make([][]EntrySweep, len(reqs))
 	errs := make([]error, len(reqs))
@@ -132,21 +132,8 @@ func TestSweepCoalescerSharedBatch(t *testing.T) {
 		}(i, entries)
 	}
 	// Wait for every request to enqueue its ticket, then open the gate.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st.mu.Lock()
-		n := len(st.tickets)
-		st.mu.Unlock()
-		if n == len(reqs) {
-			break
-		}
-		if time.Now().After(deadline) {
-			st.execMu.Unlock()
-			t.Fatalf("only %d/%d tickets queued", n, len(reqs))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st.execMu.Unlock()
+	waitQueued(t, st, len(reqs))
+	releaseSlots(st)
 	wg.Wait()
 	c.release(key, st)
 
@@ -188,7 +175,7 @@ func TestSweepCoalescerSharedBatch(t *testing.T) {
 }
 
 // TestAdvanceCoalescerFusedBatch forces a deterministic fused advance: N
-// compatible session chunks queue behind a held executor lock, then advance
+// compatible session chunks queue behind held executor slots, then advance
 // as one StepperGroup pass that must be bit-identical to independent
 // steppers.
 func TestAdvanceCoalescerFusedBatch(t *testing.T) {
@@ -213,8 +200,7 @@ func TestAdvanceCoalescerFusedBatch(t *testing.T) {
 	}
 
 	key := advanceKey{model: m, dt: dt, method: sim.Trapezoidal}
-	st := c.acquire(key)
-	st.execMu.Lock()
+	st := holdSlots(c, key)
 
 	results := make([]*sim.Result, sessions)
 	errs := make([]error, sessions)
@@ -223,24 +209,11 @@ func TestAdvanceCoalescerFusedBatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Advance(context.Background(), m, dt, sim.Trapezoidal, steppers[i], n, inputs[i])
+			results[i], errs[i] = c.do(context.Background(), key, advanceChunk{steppers[i], n, inputs[i]})
 		}(i)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st.mu.Lock()
-		queued := len(st.tickets)
-		st.mu.Unlock()
-		if queued == sessions {
-			break
-		}
-		if time.Now().After(deadline) {
-			st.execMu.Unlock()
-			t.Fatalf("only %d/%d tickets queued", queued, sessions)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	st.execMu.Unlock()
+	waitQueued(t, st, sessions)
+	releaseSlots(st)
 	wg.Wait()
 	c.release(key, st)
 
@@ -270,11 +243,11 @@ func TestAdvanceCoalescerFusedBatch(t *testing.T) {
 	if n := c.batches.Load(); n != 1 {
 		t.Fatalf("batches = %d, want 1", n)
 	}
-	if n := c.groupedBatches.Load(); n != 1 {
-		t.Fatalf("groupedBatches = %d, want 1", n)
+	if n := c.sharedBatches.Load(); n != 1 {
+		t.Fatalf("sharedBatches = %d, want 1", n)
 	}
-	if got := c.groupedSessions.Load(); got != sessions {
-		t.Fatalf("groupedSessions = %d, want %d", got, sessions)
+	if got := c.sharedRequests.Load(); got != sessions {
+		t.Fatalf("sharedRequests = %d, want %d", got, sessions)
 	}
 	if len(c.keys) != 0 {
 		t.Fatalf("%d key states leaked", len(c.keys))
@@ -312,6 +285,7 @@ func TestCoalesceStress(t *testing.T) {
 	const rounds = 5
 	const dt = 1e-12
 	const chunk = 16
+	advKey := advanceKey{model: m, dt: dt, method: sim.Trapezoidal}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -345,7 +319,7 @@ func TestCoalesceStress(t *testing.T) {
 					}
 				}
 
-				res, err := advances.Advance(context.Background(), m, dt, sim.Trapezoidal, stepper, chunk, input)
+				res, err := advances.do(context.Background(), advKey, advanceChunk{stepper, chunk, input})
 				if err != nil {
 					t.Error(err)
 					return
@@ -378,5 +352,294 @@ func TestCoalesceStress(t *testing.T) {
 	}
 	if len(sweeps.keys) != 0 || len(advances.keys) != 0 {
 		t.Fatalf("leaked key states: sweeps %d, advances %d", len(sweeps.keys), len(advances.keys))
+	}
+}
+
+// holdSlots occupies every executor slot of key's state, so requests under
+// key queue without executing until releaseSlots. The caller releases the
+// returned state once those requests have returned.
+func holdSlots[K comparable, Req, Resp any](c *coalescer[K, Req, Resp], key K) *coalesceState[Req, Resp] {
+	st := c.acquire(key)
+	for i := 0; i < cap(st.slots); i++ {
+		st.slots <- struct{}{}
+	}
+	return st
+}
+
+func releaseSlots[Req, Resp any](st *coalesceState[Req, Resp]) {
+	for i := 0; i < cap(st.slots); i++ {
+		<-st.slots
+	}
+}
+
+// waitQueued blocks until n tickets are queued on st, failing the test (with
+// the slots released, so no request stays blocked) after five seconds.
+func waitQueued[Req, Resp any](t *testing.T, st *coalesceState[Req, Resp], n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st.mu.Lock()
+		queued := len(st.queue)
+		st.mu.Unlock()
+		if queued == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			releaseSlots(st)
+			t.Fatalf("only %d/%d tickets queued", queued, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCoalescerSoloKeepsCallerContext: a batch of one runs under its
+// caller's context, so cancelling the caller cancels the exec.
+func TestCoalescerSoloKeepsCallerContext(t *testing.T) {
+	started := make(chan struct{})
+	c := newCoalescer(2, func(ctx context.Context, _ int, batch []*ticket[int, int]) error {
+		close(started)
+		<-ctx.Done()
+		return context.Cause(ctx)
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.do(ctx, 0, 1)
+		errc <- err
+	}()
+	<-started
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled solo batch returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelling the caller did not cancel its batch of one")
+	}
+	if n := c.batches.Load(); n != 1 {
+		t.Fatalf("batches = %d, want 1", n)
+	}
+	if n := c.sharedBatches.Load(); n != 0 {
+		t.Fatalf("sharedBatches = %d, want 0", n)
+	}
+	if len(c.keys) != 0 {
+		t.Fatalf("%d key states leaked", len(c.keys))
+	}
+}
+
+// TestCoalescerSharedBatchDetached: a shared batch runs detached from its
+// members' contexts, even when every member has given up, and serves each
+// member exactly once.
+func TestCoalescerSharedBatchDetached(t *testing.T) {
+	const members = 4
+	served := make(map[int]int)
+	var execCalls int
+	c := newCoalescer(2, func(ctx context.Context, key int, batch []*ticket[int, int]) error {
+		execCalls++ // written by the executor, read after wg.Wait
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, t := range batch {
+			served[t.req]++
+			t.fill(10*t.req+key, nil)
+		}
+		return nil
+	})
+	const key = 7
+	st := holdSlots(c, key)
+	resps := make([]int, members)
+	errs := make([]error, members)
+	var wg sync.WaitGroup
+	for i := 0; i < members; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resps[i], errs[i] = c.do(ctx, key, i)
+		}(i)
+	}
+	waitQueued(t, st, members)
+	releaseSlots(st)
+	wg.Wait()
+	c.release(key, st)
+
+	for i := 0; i < members; i++ {
+		if errs[i] != nil {
+			t.Fatalf("member %d: %v", i, errs[i])
+		}
+		if resps[i] != 10*i+key {
+			t.Fatalf("member %d got %d, want %d", i, resps[i], 10*i+key)
+		}
+		if served[i] != 1 {
+			t.Fatalf("member %d served %d times, want once", i, served[i])
+		}
+	}
+	if execCalls != 1 || c.batches.Load() != 1 {
+		t.Fatalf("exec ran %d times (%d batches), want one shared batch", execCalls, c.batches.Load())
+	}
+	if c.sharedBatches.Load() != 1 || c.sharedRequests.Load() != members {
+		t.Fatalf("shared batches %d / requests %d, want 1 / %d",
+			c.sharedBatches.Load(), c.sharedRequests.Load(), members)
+	}
+	if len(c.keys) != 0 {
+		t.Fatalf("%d key states leaked", len(c.keys))
+	}
+}
+
+// TestCoalescerTakenTicketWaitsForExecutor: with two executor slots, a
+// waiter that wins the second slot after the first executor took its ticket
+// must wait for that executor, not run a batch of its own and return before
+// its ticket is served.
+func TestCoalescerTakenTicketWaitsForExecutor(t *testing.T) {
+	entered := make(chan int)
+	gate := make(chan struct{})
+	c := newCoalescer(2, func(_ context.Context, _ int, batch []*ticket[int, int]) error {
+		entered <- len(batch)
+		<-gate
+		for _, t := range batch {
+			t.fill(10*t.req, nil)
+		}
+		return nil
+	})
+	st := holdSlots(c, 0)
+	type result struct{ req, resp int }
+	returned := make(chan result, 2)
+	errs := make(chan error, 2)
+	for req := 1; req <= 2; req++ {
+		go func(req int) {
+			resp, err := c.do(context.Background(), 0, req)
+			if err != nil {
+				errs <- err
+			}
+			returned <- result{req, resp}
+		}(req)
+	}
+	waitQueued(t, st, 2)
+	<-st.slots // free one slot: its winner takes both tickets
+	if n := <-entered; n != 2 {
+		close(gate)
+		t.Fatalf("first executor took %d tickets, want 2", n)
+	}
+	<-st.slots // free the second slot while the first batch is still running
+	select {
+	case r := <-returned:
+		close(gate)
+		t.Fatalf("request %d returned %d while its executor was still running", r.req, r.resp)
+	case n := <-entered:
+		close(gate)
+		t.Fatalf("a second batch of %d ran while the first held every ticket", n)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	for i := 0; i < 2; i++ {
+		r := <-returned
+		if r.resp != 10*r.req {
+			t.Errorf("request %d got %d, want %d", r.req, r.resp, 10*r.req)
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	c.release(0, st)
+	if n := c.batches.Load(); n != 1 {
+		t.Fatalf("batches = %d, want 1", n)
+	}
+	if len(c.keys) != 0 {
+		t.Fatalf("%d key states leaked", len(c.keys))
+	}
+}
+
+// TestCoalescerPanicFailsBatch: an exec that panics gives every member of
+// its batch an error, and no member hangs.
+func TestCoalescerPanicFailsBatch(t *testing.T) {
+	const members = 3
+	c := newCoalescer(2, func(context.Context, int, []*ticket[int, int]) error {
+		panic("toy exec failure")
+	})
+	st := holdSlots(c, 0)
+	errs := make(chan error, members)
+	for i := 0; i < members; i++ {
+		go func(i int) {
+			_, err := c.do(context.Background(), 0, i)
+			errs <- err
+		}(i)
+	}
+	waitQueued(t, st, members)
+	releaseSlots(st)
+	for i := 0; i < members; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "toy exec failure") {
+				t.Errorf("member of a panicked batch got %v, want the panic as an error", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d/%d members of a panicked batch still blocked", members-i, members)
+		}
+	}
+	c.release(0, st)
+	if len(c.keys) != 0 {
+		t.Fatalf("%d key states leaked", len(c.keys))
+	}
+}
+
+// TestCoalescerStress drives the primitive with a toy exec from many
+// goroutines over a few keys and two executor slots per key: every request
+// is answered with its own response, the batch counters add up to the
+// requests made, and no key state outlives its callers.
+func TestCoalescerStress(t *testing.T) {
+	var mu sync.Mutex
+	var sizes []int
+	c := newCoalescer(2, func(_ context.Context, key int, batch []*ticket[int, int]) error {
+		mu.Lock()
+		sizes = append(sizes, len(batch))
+		mu.Unlock()
+		for _, t := range batch {
+			t.fill(10*t.req+key, nil)
+		}
+		return nil
+	})
+	const goroutines = 8
+	const rounds = 200
+	const keys = 3
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				key, req := (g+r)%keys, g*rounds+r
+				resp, err := c.do(context.Background(), key, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if resp != 10*req+key {
+					t.Errorf("goroutine %d round %d: got %d, want %d", g, r, resp, 10*req+key)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	if total != goroutines*rounds {
+		t.Fatalf("batches served %d requests, want %d", total, goroutines*rounds)
+	}
+	if got := int(c.batches.Load()); got != len(sizes) {
+		t.Fatalf("batches = %d, exec ran %d times", got, len(sizes))
+	}
+	solo := c.batches.Load() - c.sharedBatches.Load()
+	if solo+c.sharedRequests.Load() != goroutines*rounds {
+		t.Fatalf("%d solo + %d shared requests, want %d", solo, c.sharedRequests.Load(), goroutines*rounds)
+	}
+	if len(c.keys) != 0 {
+		t.Fatalf("%d key states leaked", len(c.keys))
 	}
 }

@@ -14,7 +14,7 @@ import (
 // that corrupts output without tripping the detector still fails the test.
 func TestEvaluatorConcurrentSweepStress(t *testing.T) {
 	key := ModelKey{Benchmark: "ckt1", Scale: 0.1}
-	full, err := buildModel(key, false, nil)
+	full, err := buildModel(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestEvaluatorConcurrentSweepStress(t *testing.T) {
 							}
 						}
 					}
-					if _, err := ev.Sweep(context.Background(), m, g%m.Outputs, g%m.Ports, 1e6, 1e12, 10); err != nil {
+					if _, err := ev.SweepEntries(context.Background(), m, []Entry{{g % m.Outputs, g % m.Ports}}, 1e6, 1e12, 10); err != nil {
 						errc <- err
 						return
 					}

@@ -91,17 +91,6 @@ func (ev *Evaluator) finish(ctx context.Context, err error) error {
 	return err
 }
 
-// Sweep evaluates H[row][col](jω) of the model's ROM over a logarithmic
-// grid in a single vectorized residue pass. Cancelling ctx aborts the
-// request if its engine task has not started.
-func (ev *Evaluator) Sweep(ctx context.Context, m *Model, row, col int, wMin, wMax float64, points int) ([]SweepPoint, error) {
-	sweeps, err := ev.SweepEntries(ctx, m, []Entry{{Row: row, Col: col}}, wMin, wMax, points)
-	if err != nil {
-		return nil, err
-	}
-	return sweeps[0].Points, nil
-}
-
 // SweepEntries evaluates several transfer-matrix entries over one shared
 // frequency grid as a single engine task. Cancelling ctx aborts the request
 // if its task has not started.

@@ -145,9 +145,6 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	reg.CounterFunc("pgserve_interp_fallbacks_total",
 		"Δ-scale requests that fell back to a real reduction.",
 		repo.interpFallbacks.Load)
-	reg.CounterFunc("pgserve_ward_reductions_total",
-		"Model builds that ran the Ward/Schur pre-reduction stage.",
-		repo.wardReductions.Load)
 	reg.CounterFunc("pgserve_ward_eliminated_states_total",
 		"Static states eliminated exactly by Ward pre-reduction across builds.",
 		repo.wardEliminated.Load)
@@ -187,10 +184,10 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			"Requests per executed sweep batch.", sizeBuckets))
 	reg.CounterFunc("pgserve_session_group_advances_total",
 		"Advance batches fused into a StepperGroup pass.",
-		s.advances.groupedBatches.Load)
+		s.advances.sharedBatches.Load)
 	reg.CounterFunc("pgserve_session_grouped_sessions_total",
 		"Session chunks advanced via a fused pass.",
-		s.advances.groupedSessions.Load)
+		s.advances.sharedRequests.Load)
 	s.advances.Instrument(
 		reg.Histogram("pgserve_session_group_size",
 			"Session chunks per executed advance batch.", sizeBuckets))

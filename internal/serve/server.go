@@ -58,10 +58,6 @@ type Config struct {
 	// Store, when non-nil, is the persistent ROM store the repository reads
 	// through on miss and writes through on build, enabling warm restarts.
 	Store *store.Store
-	// DisableWard turns off the Ward/Schur pre-reduction stage on builds.
-	// The stage is exact and on by default; the flag exists to measure its
-	// effect and as an operational escape hatch.
-	DisableWard bool
 	// DisableInterp turns off Δ-scale interpolation: /interp is rejected and
 	// benchmark+scale resolution on /eval and /sweep reduces for real.
 	DisableInterp bool
@@ -182,9 +178,6 @@ func New(cfg Config) *Server {
 	if !cfg.DisableMetrics {
 		s.reg = obs.NewRegistry()
 		s.metrics = newServerMetrics(s.reg, s)
-	}
-	if cfg.DisableWard {
-		s.repo.DisableWard()
 	}
 	if cfg.InterpTol > 0 {
 		s.repo.interpTol = cfg.InterpTol

@@ -615,7 +615,7 @@ func (s *Server) handleSessionAdvance(w http.ResponseWriter, r *http.Request) {
 		// concurrency across sessions, sweeps, and transients stays bounded
 		// by the worker count. The coalescer fuses compatible chunks queued
 		// behind the same (model, dt, method) into one StepperGroup pass.
-		chunk, err := s.advances.Advance(ctx, sess.model, sess.dt, sess.method, sess.stepper, n, input)
+		chunk, err := s.advances.do(ctx, advanceKey{sess.model, sess.dt, sess.method}, advanceChunk{sess.stepper, n, input})
 		if err != nil {
 			if ctx.Err() != nil {
 				s.sessions.canceledAdvances.Add(1)
